@@ -45,7 +45,7 @@ class BufWriter {
   // is kept so a reused writer stays allocation-free across runs.
   void Reset(std::ostream* out);
 
-  // Total bytes accepted (buffered + written). Used by benches.
+  // Total bytes accepted (buffered + written). Used by tests.
   unsigned long long bytes_written() const { return bytes_written_; }
 
  private:

@@ -1,4 +1,4 @@
-// Minimal command-line flag parsing for the tools and benches.
+// Minimal command-line flag parsing for the tools.
 //
 // Supports --key=value, --key value, and bare --switch (value "true").
 // Positional arguments are collected in order. Unknown flags are kept so

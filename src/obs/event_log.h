@@ -20,7 +20,7 @@
 // and app-class names is interned as pre-escaped JSON literals. Bytes are
 // identical to the original StrFormat path, which survives as
 // internal::LegacyJsonObjectWriter behind a test-only flag for the golden
-// byte-identity fixture and the serialization A/B bench. Readers of a
+// byte-identity fixture (serialization_test). Readers of a
 // captured ostringstream must call Flush() first while the log is alive.
 #ifndef SRC_OBS_EVENT_LOG_H_
 #define SRC_OBS_EVENT_LOG_H_
@@ -95,9 +95,9 @@ class JsonObjectWriter {
 namespace internal {
 
 // The pre-fast-path serializer, byte for byte: builds its own std::string
-// via snprintf-backed StrFormat with one temporary per field. Kept only so
-// the golden fixture and serialization_bench can A/B the fast path against
-// the original allocation behavior; production code must not use it.
+// via snprintf-backed StrFormat with one temporary per field. Kept only as
+// the reference the golden byte-identity fixture (serialization_test)
+// compares the fast path against; production code must not use it.
 class LegacyJsonObjectWriter {
  public:
   LegacyJsonObjectWriter& Field(std::string_view key, std::string_view value);
@@ -172,7 +172,7 @@ class EventLog {
 
   // Test-only: route every record through the retained PR-4 serializer
   // (per-field StrFormat temporaries, unbuffered per-line ostream writes)
-  // so golden fixtures and benches can compare it against the fast path.
+  // so golden fixtures can compare it against the fast path.
   void set_legacy_serialization_for_test(bool legacy) { legacy_for_test_ = legacy; }
 
   // Cluster mode: tag every typed record with a trailing "node":K field so

@@ -11,13 +11,13 @@
 //     schedule and are byte-reproducible across runs and machines;
 //     nanosecond totals are host measurements and are never compared
 //     exactly. The two live side by side in SpanStats and every consumer
-//     (bench gates, golden tests, merged sweep profiles) must only pin the
-//     hit counts.
+//     (simbench's ledger, golden tests, merged sweep profiles) must only
+//     pin the hit counts.
 //   * One sanctioned clock: the monotonic host clock lives behind
 //     prof::NowNanos(), implemented in prof.cc — the only translation unit
 //     in src/ the pdpa_lint wall-clock rule allows to touch steady_clock.
-//     Everything else (sweep host spans, benches that want comparable
-//     stamps) calls NowNanos() and stays lint-clean.
+//     Everything else (sweep host spans, simbench) calls NowNanos() and
+//     stays lint-clean.
 //
 // A Profiler belongs to one run, exactly like an EventLog: the sweep engine
 // gives each cell its own and merges them deterministically in grid order.

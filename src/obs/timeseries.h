@@ -97,9 +97,9 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
 namespace internal {
 
 // The pre-fast-path CSV writer (per-row StrFormat temporaries, per-row
-// ostream inserts), kept only so the golden byte-identity fixture and
-// serialization_bench can A/B against WriteCsv; production code must not
-// use it.
+// ostream inserts), kept only as the reference the golden byte-identity
+// fixture (serialization_test) compares WriteCsv against; production code
+// must not use it.
 void WriteTimeSeriesCsvLegacy(const TimeSeriesSampler& series, std::ostream& out);
 
 }  // namespace internal

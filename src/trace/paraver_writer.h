@@ -26,9 +26,9 @@ void WriteParaverConfig(int num_jobs, std::ostream& out);
 
 namespace internal {
 
-// The pre-fast-path .prv writer (per-record ostream inserts), kept only so
-// the golden byte-identity fixture and serialization_bench can A/B against
-// WriteParaverTrace; production code must not use it.
+// The pre-fast-path .prv writer (per-record ostream inserts), kept only as
+// the reference the golden byte-identity fixture (serialization_test)
+// compares WriteParaverTrace against; production code must not use it.
 void WriteParaverTraceLegacy(const TraceRecorder& recorder, int num_jobs, std::ostream& out);
 
 }  // namespace internal

@@ -1,7 +1,7 @@
 // ExperimentRunner: the facade that assembles one complete NANOS stack
 // (machine + RM + QS + runtime bindings + trace) and executes a workload
-// under one policy. Every benchmark and the integration tests go through
-// this entry point.
+// under one policy. pdpa_figures, the sweep engine and the integration
+// tests go through this entry point.
 #ifndef SRC_WORKLOAD_EXPERIMENT_H_
 #define SRC_WORKLOAD_EXPERIMENT_H_
 

@@ -141,8 +141,8 @@ struct SweepOptions {
   // completes, from the calling thread).
   ForkStats* fork_stats = nullptr;
   // Test-only: capture each cell's events/time-series through the retained
-  // pre-fast-path serializers (see DESIGN.md §9) so golden fixtures and
-  // benches can compare recordings byte for byte against the fast path.
+  // pre-fast-path serializers (see DESIGN.md §9) so golden fixtures can
+  // compare recordings byte for byte against the fast path.
   bool legacy_serialization_for_test = false;
 };
 
@@ -237,9 +237,9 @@ void SweepCsv(const std::vector<SweepCellResult>& results, std::size_t seeds_per
 namespace internal {
 
 // The pre-fast-path sweep CSV writer (per-row StrFormat temporaries,
-// per-row ostream inserts), kept only so the golden byte-identity fixture
-// and serialization_bench can A/B against SweepCsv; production code must
-// not use it.
+// per-row ostream inserts), kept only as the reference the golden
+// byte-identity fixtures (serialization_test, prof_test) compare SweepCsv
+// against; production code must not use it.
 void SweepCsvLegacy(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
                     std::ostream& out);
 

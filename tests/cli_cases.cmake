@@ -1,13 +1,13 @@
 # ctest driver for tool CLI contracts. Invoked as
 #   cmake -DREPORT=<pdpa_report> -DPRV=<prv_stats> -DSIM=<pdpa_sim>
-#         -DBATCH=<pdpa_batch> -DLINT=<pdpa_lint> -DWORKDIR=<scratch>
-#         -P cli_cases.cmake
+#         -DBATCH=<pdpa_batch> -DLINT=<pdpa_lint> -DFIGURES=<pdpa_figures>
+#         -DWORKDIR=<scratch> -P cli_cases.cmake
 # Bad invocations must be usage errors (exit 2 with a pointed message), not
 # silently-wrong output; --help is exit 0.
 
-if(NOT REPORT OR NOT PRV OR NOT SIM OR NOT BATCH OR NOT LINT OR NOT WORKDIR)
+if(NOT REPORT OR NOT PRV OR NOT SIM OR NOT BATCH OR NOT LINT OR NOT FIGURES OR NOT WORKDIR)
   message(FATAL_ERROR
-          "usage: cmake -DREPORT=... -DPRV=... -DSIM=... -DBATCH=... -DLINT=... -DWORKDIR=... -P cli_cases.cmake")
+          "usage: cmake -DREPORT=... -DPRV=... -DSIM=... -DBATCH=... -DLINT=... -DFIGURES=... -DWORKDIR=... -P cli_cases.cmake")
 endif()
 file(MAKE_DIRECTORY ${WORKDIR})
 
@@ -134,6 +134,13 @@ expect_cli(0 out "escape hatch:" ${LINT} --explain ptr-taint)
 expect_cli(0 out "ptr-taint-ok" ${LINT} --explain ptr-taint)
 expect_cli(0 out "PDPA_LOCK_RANK" ${LINT} --explain lock-order)
 expect_cli(2 err "unknown rule 'bogus' .see --list-rules." ${LINT} --explain bogus)
+
+# pdpa_figures: --help names every row in table order; rows are the only
+# arguments, so an unknown row or any other flag is a usage error.
+expect_cli(0 out "fig03 .*fig04 .*fig05 .*table2 .*fig06 .*fig07 .*fig08 .*fig09 .*table3 .*fig10 .*table4 .*ablation_coordination .*ablation_target_eff .*ablation_robustness .*extra_dynamic_policy .*extra_rigid_folding .*extra_cluster "
+           ${FIGURES} --help)
+expect_cli(2 err "unknown row 'fig99' .see --help." ${FIGURES} fig99)
+expect_cli(2 err "unknown flag --bogus" ${FIGURES} --bogus)
 
 # --no_fork is the shared-prefix escape hatch: both modes must exit 0 and
 # produce byte-identical CSV (the fork log line is info-level, on stderr).

@@ -505,6 +505,55 @@ TEST(ClusterBoundaryBatchTest, ReactivePolicyIgnoresBoundaryBatch) {
   ExpectSameBytes(exact.counters.ToString(), fast.counters.ToString(), "counters");
 }
 
+// Both fast paths together on a contended drain (2000 jobs over 24 nodes):
+// the epoch-batched controller over boundary-batched RMs reproduces the
+// one-arrival-per-barrier, every-tick reference. Outcomes match exactly;
+// counters and gauges match except the batch-protocol and tick-schedule
+// instruments, which the fast paths exist to change.
+TEST(ClusterBoundaryBatchTest, BothFastPathsMatchReferenceOnAContendedDrain) {
+  const std::vector<JobSpec> jobs = MakeJobs(2000, 6, kSecond / 4);
+  ClusterOptions fast_options = BaseOptions(24, 8);
+  fast_options.capture_events = false;
+  fast_options.capture_timeseries = false;
+  fast_options.rm_params.boundary_batch = true;
+  ClusterOptions reference_options = fast_options;
+  reference_options.arrival_batch = false;
+  reference_options.rm_params.boundary_batch = false;
+  const ClusterResult reference = RunCluster(jobs, reference_options);
+  const ClusterResult fast = RunCluster(jobs, fast_options);
+  ASSERT_TRUE(reference.completed);
+
+  ASSERT_EQ(reference.outcomes.size(), fast.outcomes.size());
+  for (std::size_t i = 0; i < reference.outcomes.size(); ++i) {
+    EXPECT_EQ(reference.outcomes[i].id, fast.outcomes[i].id) << "outcome " << i;
+    EXPECT_EQ(reference.outcomes[i].start, fast.outcomes[i].start) << "outcome " << i;
+    EXPECT_EQ(reference.outcomes[i].finish, fast.outcomes[i].finish) << "outcome " << i;
+  }
+  EXPECT_EQ(reference.outcome_nodes, fast.outcome_nodes);
+  EXPECT_EQ(reference.end_time, fast.end_time);
+  EXPECT_EQ(reference.max_node_running, fast.max_node_running);
+  EXPECT_EQ(reference.total_reallocations, fast.total_reallocations);
+
+  const auto cross_mode = [](const RegistrySnapshot& snapshot) {
+    const auto excluded = [](const std::string& name) {
+      return name == "cluster.arrival_batches" || name == "cluster.batched_arrivals" ||
+             name == "rm.ticks" || name == "rm.ticks_elided" ||
+             name == "sim.events_dispatched" || name == "sim.periodic_fires" ||
+             name == "machine.free_cpus";
+    };
+    RegistrySnapshot filtered = snapshot;
+    std::erase_if(filtered.counters, [&](const CounterSnapshot& c) { return excluded(c.name); });
+    std::erase_if(filtered.gauges, [&](const GaugeSnapshot& g) { return excluded(g.name); });
+    return filtered.ToString();
+  };
+  ExpectSameBytes(cross_mode(reference.counters), cross_mode(fast.counters),
+                  "cross-mode counters");
+  // Non-vacuity: both fast paths engaged.
+  EXPECT_GT(CounterValue(fast.counters, "cluster.batched_arrivals"), 0);
+  EXPECT_LT(CounterValue(fast.counters, "rm.ticks"),
+            CounterValue(reference.counters, "rm.ticks"));
+}
+
 TEST(ClusterTest, PlacementPolicyNamesRoundTrip) {
   for (const PlacementPolicy placement :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kMostFreeCpus,

@@ -80,9 +80,6 @@ src/cluster/merge_paths.cc:18: unordered-iter: range-for over an unordered conta
 # Tools own their streams' flushing policy: rule scoped to src/ only.
 expect_lint(stream_flush_violation.cc 0 "" --treat-as tools)
 
-# bench/ classification turns the wall-clock rule off entirely.
-expect_lint(wall_clock_violation.cc 0 "" --treat-as bench)
-
 expect_lint(clean_file.cc 0 "")
 
 # Lock-order rule: unranked declaration, duplicate rank, a seeded inversion
@@ -156,6 +153,13 @@ execute_process(COMMAND ${LINT} --today not-a-date ${FIXTURES}/clean_file.cc
                 RESULT_VARIABLE exit_code OUTPUT_QUIET ERROR_VARIABLE stderr)
 if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "bad --today")
   message(SEND_ERROR "bad --today: exit ${exit_code}, stderr: ${stderr}")
+endif()
+
+# --treat-as takes src or tools; any other scope is a usage error.
+execute_process(COMMAND ${LINT} --treat-as bench ${FIXTURES}/wall_clock_violation.cc
+                RESULT_VARIABLE exit_code OUTPUT_QUIET ERROR_VARIABLE stderr)
+if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "bad --treat-as bench .want src.tools.")
+  message(SEND_ERROR "--treat-as bench: exit ${exit_code}, stderr: ${stderr}")
 endif()
 
 execute_process(COMMAND ${LINT} ${FIXTURES}/does_not_exist.cc

@@ -56,8 +56,8 @@ std::set<std::string> UnorderedTypedNames(const std::vector<Token>& tokens) {
 }  // namespace
 
 void CheckWallClock(const SourceFile& file, std::vector<Finding>* findings) {
-  if (file.scope != Scope::kSrc && file.scope != Scope::kTools) {
-    return;  // bench/ measures wall time by design.
+  if (file.scope == Scope::kOther) {
+    return;  // The rule covers src/ and tools/ only.
   }
   static const std::set<std::string>* kBannedIdents = new std::set<std::string>{
       "rand", "srand", "system_clock", "high_resolution_clock", "steady_clock"};
@@ -146,7 +146,7 @@ void CheckFloatEq(const SourceFile& file, std::vector<Finding>* findings) {
 
 void CheckDirectIo(const SourceFile& file, std::vector<Finding>* findings) {
   if (file.scope != Scope::kSrc) {
-    return;  // Tools and benches own their stdout/stderr.
+    return;  // Tools own their stdout/stderr.
   }
   static const std::set<std::string>* kBannedCalls =
       new std::set<std::string>{"printf", "fprintf", "puts", "putchar"};
@@ -177,7 +177,7 @@ void CheckDirectIo(const SourceFile& file, std::vector<Finding>* findings) {
 
 void CheckStreamFlush(const SourceFile& file, std::vector<Finding>* findings) {
   if (file.scope != Scope::kSrc) {
-    return;  // Tools and benches own their streams' flushing policy.
+    return;  // Tools own their streams' flushing policy.
   }
   const std::vector<Token>& tokens = file.scan.tokens;
   for (std::size_t i = 1; i < tokens.size(); ++i) {

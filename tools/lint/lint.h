@@ -70,7 +70,7 @@ std::vector<IncludeRef> ExtractIncludes(const std::string& text);
 // Rule catalog
 // ---------------------------------------------------------------------------
 
-enum class Scope { kSrc, kTools, kBench, kOther };
+enum class Scope { kSrc, kTools, kOther };
 
 struct RuleInfo {
   const char* id;        // catalog row; layer-cycle/layer-up share one row

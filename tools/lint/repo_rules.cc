@@ -230,7 +230,7 @@ void CheckLockOrder(const std::vector<SourceFile>& files, const RepoIndex& index
 void CheckPtrTaint(const SourceFile& file, const RepoIndex& index,
                    std::vector<Finding>* findings) {
   if (file.scope != Scope::kSrc) {
-    return;  // Tools and benches may print whatever aids debugging.
+    return;  // Tools may print whatever aids debugging.
   }
   static const std::set<std::string>* kKeyedContainers = new std::set<std::string>{
       "map", "set", "multimap", "multiset", "unordered_map", "unordered_set"};

@@ -1,0 +1,643 @@
+// pdpa_figures — reproduces the paper's figures and tables (Figs. 3-10,
+// Tables 2-4) plus the ablations and future-work extensions, as text.
+// Each row of kRows is one figure; the output is deterministic and pinned
+// byte for byte by the figures_golden ctest (tests/golden/figures.txt).
+//
+// Usage: pdpa_figures [row...]   (no rows: every row, in table order)
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/app/app_profile.h"
+#include "src/cluster/cluster.h"
+#include "src/common/flags.h"
+#include "src/core/pdpa_policy.h"
+#include "src/workload/experiment.h"
+
+namespace pdpa {
+namespace {
+
+const std::vector<PolicyKind>& AllPolicies() {
+  static const std::vector<PolicyKind> kPolicies = {
+      PolicyKind::kIrix, PolicyKind::kEquipartition, PolicyKind::kEqualEfficiency,
+      PolicyKind::kPdpa};
+  return kPolicies;
+}
+
+ExperimentConfig MakeConfig(WorkloadId workload, double load, PolicyKind policy) {
+  ExperimentConfig config;
+  config.workload = workload;
+  config.load = load;
+  config.policy = policy;
+  config.seed = 42;
+  return config;
+}
+
+// One class's metrics, zeroes when no job of that class ran.
+ClassMetrics ClassOf(const WorkloadMetrics& metrics, AppClass app_class) {
+  const auto it = metrics.per_class.find(app_class);
+  return it == metrics.per_class.end() ? ClassMetrics{} : it->second;
+}
+
+// Job-weighted mean response time over every class.
+double MeanResponse(const WorkloadMetrics& metrics) {
+  double total = 0.0;
+  int jobs = 0;
+  for (const auto& [app_class, m] : metrics.per_class) {
+    total += m.avg_response_s * m.count;
+    jobs += m.count;
+  }
+  return jobs > 0 ? total / jobs : 0.0;
+}
+
+// Runs workload x {60,80,100% load} x {policies} and prints, per application
+// class, the average response and execution times: the layout of Figs.
+// 4/6/9/10.
+void RunFigureGrid(const char* title, WorkloadId workload, const std::vector<AppClass>& classes) {
+  const std::vector<double> loads = {0.6, 0.8, 1.0};
+  std::printf("=== %s ===\n", title);
+  std::printf("workload %s; x-axis = machine load; policies: IRIX, Equip, Equal_eff, PDPA\n\n",
+              WorkloadName(workload));
+
+  // results[policy][load] -> per-run metrics
+  std::map<PolicyKind, std::map<double, WorkloadMetrics>> results;
+  for (PolicyKind policy : AllPolicies()) {
+    for (double load : loads) {
+      results[policy][load] = RunExperiment(MakeConfig(workload, load, policy)).metrics;
+    }
+  }
+
+  for (AppClass app_class : classes) {
+    for (const char* metric : {"response", "execution"}) {
+      std::printf("-- avg %s time of %s (seconds) --\n", metric, AppClassName(app_class));
+      std::printf("%-12s", "policy\\load");
+      for (double load : loads) {
+        std::printf(" %8.0f%%", load * 100);
+      }
+      std::printf("\n");
+      for (PolicyKind policy : AllPolicies()) {
+        std::printf("%-12s", PolicyKindName(policy));
+        for (double load : loads) {
+          const ClassMetrics cell = ClassOf(results[policy][load], app_class);
+          std::printf(" %9.1f", metric[0] == 'r' ? cell.avg_response_s : cell.avg_exec_s);
+        }
+        std::printf("\n");
+      }
+      std::printf("\n");
+    }
+  }
+}
+
+// Fig. 3: speedup and efficiency of swim, bt.A, hydro2d and apsi for 1..32
+// processors.
+void Fig03() {
+  const AppProfile profiles[] = {MakeSwimProfile(), MakeBtProfile(), MakeHydro2dProfile(),
+                                 MakeApsiProfile()};
+  std::printf("=== Fig. 3: speedup curves (speedup | efficiency) ===\n");
+  std::printf("%5s", "P");
+  for (const AppProfile& p : profiles) {
+    std::printf(" | %18s", p.name.c_str());
+  }
+  std::printf("\n");
+  for (int p : {1, 2, 4, 8, 12, 16, 20, 24, 28, 30, 32}) {
+    std::printf("%5d", p);
+    for (const AppProfile& profile : profiles) {
+      const double s = profile.speedup->SpeedupAt(p);
+      std::printf(" | %8.2f  (%5.2f) ", s, s / p);
+    }
+    std::printf("\n");
+  }
+  std::printf("\nShapes to check against the paper:\n");
+  std::printf("  swim    superlinear (eff > 1) through ~30 CPUs, knee at 16\n");
+  std::printf("  bt.A    good scalability, eff ~0.85 at 20, ~0.70 at 30\n");
+  std::printf("  hydro2d medium, saturates around 10-12 CPUs\n");
+  std::printf("  apsi    no scaling beyond 2 CPUs\n");
+}
+
+// Fig. 4: workload 1 (swim + bt). Paper: Equip best by a small margin, PDPA
+// within ~10-30%, both far ahead of IRIX and Equal_efficiency.
+void Fig04() {
+  RunFigureGrid("Fig. 4: workload 1 (swim + bt)", WorkloadId::kW1,
+                {AppClass::kSwim, AppClass::kBt});
+}
+
+// Fig. 5: execution views (CPU x time) of workload 1 at 100% load under IRIX
+// and PDPA in ASCII; each row is a CPU, each letter one job, '.' idle. IRIX
+// looks chaotic, PDPA shows stable application partitions.
+void Fig05() {
+  std::printf("=== Fig. 5: execution views, workload 1, load = 100%% ===\n\n");
+  for (PolicyKind policy : {PolicyKind::kIrix, PolicyKind::kPdpa}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW1, 1.0, policy);
+    config.record_trace = true;
+    const ExperimentResult result = RunExperiment(config);
+    std::printf("--- %s ---\n%s\n", result.policy_name.c_str(), result.ascii_view.c_str());
+    std::printf("migrations=%lld  avg burst=%.0f ms  utilization=%.0f%%\n\n",
+                result.trace_stats.migrations, result.trace_stats.avg_burst_ms,
+                result.utilization * 100.0);
+  }
+  std::printf("(Paraver trace of the PDPA run: pdpa_sim --workload w1 --load 1.0 --policy pdpa "
+              "--prv-out FILE)\n");
+}
+
+// Table 2: kernel-thread migrations, average burst length and bursts per
+// CPU on workload 1 at 100% load. Paper: IRIX migrates 2-4 orders of
+// magnitude more, with ~50x shorter bursts; PDPA reallocates the least.
+void Table2() {
+  std::printf("=== Table 2: IRIX vs PDPA vs Equip, workload 1, load = 100%% ===\n");
+  std::printf("%-10s %14s %26s %26s\n", "policy", "migrations", "avg exec burst per cpu",
+              "avg #bursts per cpu");
+  for (PolicyKind policy :
+       {PolicyKind::kIrix, PolicyKind::kPdpa, PolicyKind::kEquipartition}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW1, 1.0, policy);
+    config.record_trace = true;
+    const ExperimentResult result = RunExperiment(config);
+    std::printf("%-10s %14lld %22.0f ms. %26.0f\n", result.policy_name.c_str(),
+                result.trace_stats.migrations, result.trace_stats.avg_burst_ms,
+                result.trace_stats.avg_bursts_per_cpu);
+  }
+  std::printf("\npaper:    IRIX 159,865 migrations, 243 ms bursts, 2882 bursts/cpu\n");
+  std::printf("          PDPA 66 migrations, 10,782 ms bursts, 41 bursts/cpu\n");
+  std::printf("          Equip 325 migrations, 11,375 ms bursts, 43 bursts/cpu\n");
+}
+
+// Fig. 6: workload 2 (bt + hydro2d). Paper: PDPA beats Equip on bt (~10%)
+// by splitting the machine 20/9 instead of 15/15; Equip beats PDPA on
+// hydro2d (20-30%); both far ahead of IRIX and Equal_efficiency.
+void Fig06() {
+  RunFigureGrid("Fig. 6: workload 2 (bt + hydro2d)", WorkloadId::kW2,
+                {AppClass::kBt, AppClass::kHydro2d});
+}
+
+// Fig. 7: workload 2 at initial multiprogramming levels 2, 3 and 4. Paper:
+// Equipartition depends strongly on the administrator's ML; PDPA finds the
+// right ML itself, so all three settings converge.
+void Fig07() {
+  std::printf("=== Fig. 7: workload 2 with multiprogramming level 2, 3, 4 ===\n\n");
+  for (double load : {0.8, 1.0}) {
+    std::printf("--- load = %.0f%% ---\n", load * 100);
+    std::printf("%-8s %-4s | %21s | %21s | %9s | %6s\n", "policy", "ml", "bt resp/exec (s)",
+                "hydro2d resp/exec (s)", "makespan", "max ml");
+    for (PolicyKind policy : {PolicyKind::kEquipartition, PolicyKind::kPdpa}) {
+      for (int ml : {2, 3, 4}) {
+        ExperimentConfig config = MakeConfig(WorkloadId::kW2, load, policy);
+        config.multiprogramming_level = ml;
+        const ExperimentResult r = RunExperiment(config);
+        const ClassMetrics bt = ClassOf(r.metrics, AppClass::kBt);
+        const ClassMetrics hy = ClassOf(r.metrics, AppClass::kHydro2d);
+        std::printf("%-8s %-4d | %9.1f / %9.1f | %9.1f / %9.1f | %9.1f | %6d\n",
+                    PolicyKindName(policy), ml, bt.avg_response_s, bt.avg_exec_s,
+                    hy.avg_response_s, hy.avg_exec_s, r.metrics.makespan_s, r.max_ml);
+      }
+    }
+    std::printf("\n");
+  }
+}
+
+// Fig. 8: the multiprogramming level PDPA decides over time (workload 2,
+// load = 100%); the fixed-ML baselines would be a flat line at 4.
+void Fig08() {
+  std::printf("=== Fig. 8: multiprogramming level decided by PDPA (w2, load=100%%) ===\n\n");
+  const ExperimentResult result =
+      RunExperiment(MakeConfig(WorkloadId::kW2, 1.0, PolicyKind::kPdpa));
+
+  // Bucket the (time, ml) step function into 10-second bins (max within bin)
+  // and draw a horizontal bar chart.
+  const double bin_s = 10.0;
+  const int bins = static_cast<int>(result.metrics.makespan_s / bin_s) + 1;
+  int current_ml = 0;
+  std::size_t idx = 0;
+  for (int b = 0; b < bins; ++b) {
+    const double t1 = (b + 1) * bin_s;
+    int peak = current_ml;
+    while (idx < result.ml_timeline_s.size() && result.ml_timeline_s[idx].first < t1) {
+      current_ml = result.ml_timeline_s[idx].second;
+      peak = std::max(peak, current_ml);
+      ++idx;
+    }
+    const std::string bar(static_cast<std::size_t>(peak), '#');
+    std::printf("%5.0fs |%s %d\n", b * bin_s, bar.c_str(), peak);
+  }
+  std::printf("\npeak multiprogramming level: %d (paper: up to 6 on this workload)\n",
+              result.max_ml);
+}
+
+// Fig. 9: workload 3 (bt + apsi). Paper: PDPA's coordinated ML starts
+// queued jobs as soon as capacity is idle (apsi holds an ML slot but only 2
+// CPUs under the fixed-ML baselines): response times improve by many
+// hundreds of percent at a small execution-time cost.
+void Fig09() {
+  RunFigureGrid("Fig. 9: workload 3 (bt + apsi)", WorkloadId::kW3,
+                {AppClass::kBt, AppClass::kApsi});
+}
+
+// Table 3: workload 3 with apsi untuned (requesting 30 instead of 2), load
+// = 60%. Paper: Equip 949/102 (bt), 890/107 (apsi), makespan 1993, ML 4;
+// PDPA 95/88, 107/98, makespan 427, ML 29.
+void Table3() {
+  std::printf("=== Table 3: w3, apsi requesting 30 (not tuned), load = 60%% ===\n");
+  std::printf("%-8s | %19s | %19s | %12s | %6s\n", "policy", "bt resp/exec (s)",
+              "apsi resp/exec (s)", "makespan (s)", "max ml");
+  std::map<PolicyKind, WorkloadMetrics> results;
+  for (PolicyKind policy : {PolicyKind::kEquipartition, PolicyKind::kPdpa}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW3, 0.6, policy);
+    config.untuned = true;
+    const ExperimentResult r = RunExperiment(config);
+    const ClassMetrics bt = ClassOf(r.metrics, AppClass::kBt);
+    const ClassMetrics apsi = ClassOf(r.metrics, AppClass::kApsi);
+    std::printf("%-8s | %8.0f / %8.0f | %8.0f / %8.0f | %12.0f | %6d\n",
+                PolicyKindName(policy), bt.avg_response_s, bt.avg_exec_s, apsi.avg_response_s,
+                apsi.avg_exec_s, r.metrics.makespan_s, r.max_ml);
+    results[policy] = r.metrics;
+  }
+  const WorkloadMetrics& equip = results[PolicyKind::kEquipartition];
+  const WorkloadMetrics& pd = results[PolicyKind::kPdpa];
+  const auto pct = [](double baseline, double ours) { return 100.0 * (baseline / ours - 1.0); };
+  const ClassMetrics equip_bt = ClassOf(equip, AppClass::kBt);
+  const ClassMetrics pdpa_bt = ClassOf(pd, AppClass::kBt);
+  const ClassMetrics equip_apsi = ClassOf(equip, AppClass::kApsi);
+  const ClassMetrics pdpa_apsi = ClassOf(pd, AppClass::kApsi);
+  std::printf("%-8s | %8.0f%% /%7.0f%% | %8.0f%% /%7.0f%% | %11.0f%% |\n", "Speedup",
+              pct(equip_bt.avg_response_s, pdpa_bt.avg_response_s),
+              pct(equip_bt.avg_exec_s, pdpa_bt.avg_exec_s),
+              pct(equip_apsi.avg_response_s, pdpa_apsi.avg_response_s),
+              pct(equip_apsi.avg_exec_s, pdpa_apsi.avg_exec_s),
+              pct(equip.makespan_s, pd.makespan_s));
+  std::printf("\npaper:   Equip 949/102, 890/107, 1993s, ML 4\n");
+  std::printf("         PDPA   95/88, 107/98,  427s, ML 29  (speedups 998%%/15%%, 831%%/9%%, 466%%)\n");
+}
+
+// Fig. 10: workload 4 (all classes). Paper: PDPA's response times are far
+// ahead of every baseline at a 1-16% execution-time cost; Equal_efficiency
+// only matches PDPA's execution times by spending 40-270% more processors.
+void Fig10() {
+  RunFigureGrid("Fig. 10: workload 4 (all classes)", WorkloadId::kW4,
+                {AppClass::kSwim, AppClass::kBt, AppClass::kHydro2d, AppClass::kApsi});
+}
+
+// Table 4: workload 4 with every request untuned (30), load = 60%. Paper:
+// PDPA wins response time on every class (109% to 2830%) and total workload
+// time (~282%), paying at most ~30% in per-class execution time.
+void Table4() {
+  const AppClass classes[] = {AppClass::kSwim, AppClass::kBt, AppClass::kHydro2d,
+                              AppClass::kApsi};
+  std::printf("=== Table 4: w4 not tuned (all requests = 30), load = 60%% ===\n");
+  std::map<PolicyKind, ExperimentResult> results;
+  for (PolicyKind policy : {PolicyKind::kEquipartition, PolicyKind::kPdpa}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW4, 0.6, policy);
+    config.untuned = true;
+    config.record_trace = true;
+    results[policy] = RunExperiment(config);
+  }
+
+  std::printf("%-8s", "policy");
+  for (AppClass c : classes) {
+    std::printf(" | %-19s", AppClassName(c));
+  }
+  std::printf(" | %10s | %5s\n", "makespan", "util");
+  std::printf("%-8s", "");
+  for (int i = 0; i < 4; ++i) {
+    std::printf(" | %9s %9s", "exec(s)", "resp(s)");
+  }
+  std::printf(" |            |\n");
+
+  for (PolicyKind policy : {PolicyKind::kEquipartition, PolicyKind::kPdpa}) {
+    const ExperimentResult& r = results[policy];
+    std::printf("%-8s", PolicyKindName(policy));
+    for (AppClass c : classes) {
+      const ClassMetrics m = ClassOf(r.metrics, c);
+      std::printf(" | %9.0f %9.0f", m.avg_exec_s, m.avg_response_s);
+    }
+    std::printf(" | %9.0fs | %4.0f%%\n", r.metrics.makespan_s, r.utilization * 100.0);
+  }
+
+  // Ratio row, paper-style: positive % = PDPA better, negative = worse.
+  const WorkloadMetrics& equip = results[PolicyKind::kEquipartition].metrics;
+  const WorkloadMetrics& pd = results[PolicyKind::kPdpa].metrics;
+  const auto ratio_pct = [](double baseline, double ours) {
+    if (ours <= 0.0 || baseline <= 0.0) {
+      return 0.0;
+    }
+    return baseline >= ours ? 100.0 * (baseline / ours - 1.0) : -100.0 * (ours / baseline - 1.0);
+  };
+  std::printf("%-8s", "%");
+  for (AppClass c : classes) {
+    const ClassMetrics me = ClassOf(equip, c);
+    const ClassMetrics mp = ClassOf(pd, c);
+    std::printf(" | %8.0f%% %8.0f%%", ratio_pct(me.avg_exec_s, mp.avg_exec_s),
+                ratio_pct(me.avg_response_s, mp.avg_response_s));
+  }
+  std::printf(" | %9.0f%% |\n", 100.0 * (equip.makespan_s / pd.makespan_s - 1.0));
+
+  std::printf(
+      "\npaper:   Equip  6/368  101/568  32/453  104/773  | 126s* | util ~100%%\n"
+      "         PDPA   8/13    81/92   37/45    98/109  | 496s* | util ~70%%\n"
+      "         %%     -30/2830 -24/617 -15/1006  6/109  | 282%%\n"
+      "(*the paper's 126/496 makespan row is inconsistent with its own %% row;\n"
+      " shape to match: PDPA total ~3-4x better, per-class exec within ~30%%)\n");
+}
+
+// Ablation (DESIGN.md §5): PDPA's allocation policy and its coordinated ML
+// in isolation on workload 3. Alloc-only gives the best execution times but
+// worse response than Equipartition (freed CPUs idle at the fixed ML); only
+// the coordinated ML turns the freed capacity into admitted jobs.
+void AblationCoordination() {
+  std::printf("=== Ablation: allocation policy vs ML coordination (w3) ===\n\n");
+  struct Variant {
+    const char* name;
+    PolicyKind policy;
+    bool coordinated;
+  };
+  const Variant variants[] = {
+      {"Equip", PolicyKind::kEquipartition, true},
+      {"PDPA alloc-only", PolicyKind::kPdpa, false},
+      {"PDPA full", PolicyKind::kPdpa, true},
+  };
+  for (double load : {0.6, 1.0}) {
+    std::printf("--- load = %.0f%%, untuned requests ---\n", load * 100);
+    std::printf("%-16s | %19s | %19s | %12s | %6s\n", "variant", "bt resp/exec (s)",
+                "apsi resp/exec (s)", "makespan (s)", "max ml");
+    for (const Variant& variant : variants) {
+      ExperimentConfig config = MakeConfig(WorkloadId::kW3, load, variant.policy);
+      config.untuned = true;
+      config.pdpa_coordinated_ml = variant.coordinated;
+      const ExperimentResult r = RunExperiment(config);
+      const ClassMetrics bt = ClassOf(r.metrics, AppClass::kBt);
+      const ClassMetrics apsi = ClassOf(r.metrics, AppClass::kApsi);
+      std::printf("%-16s | %8.0f / %8.0f | %8.0f / %8.0f | %12.0f | %6d\n", variant.name,
+                  bt.avg_response_s, bt.avg_exec_s, apsi.avg_response_s, apsi.avg_exec_s,
+                  r.metrics.makespan_s, r.max_ml);
+    }
+    std::printf("\n");
+  }
+  std::printf(
+      "Reading: alloc-only trims apsi to its useful size, which shows up as\n"
+      "the best bt execution times — but with a fixed ML the freed processors\n"
+      "just sit idle and response times get WORSE than Equipartition. Only\n"
+      "the coordinated ML rule turns the freed capacity into admitted jobs\n"
+      "and collapses response times: the two contributions need each other.\n");
+}
+
+// Ablation (DESIGN.md §5): sensitivity to target_eff, PDPA's one
+// administrator knob, on workload 2 at full load, plus the paper's dynamic
+// load-adaptive target.
+void AblationTargetEff() {
+  const auto run_one = [](const char* label, const ExperimentConfig& config) {
+    const ExperimentResult r = RunExperiment(config);
+    const ClassMetrics bt = ClassOf(r.metrics, AppClass::kBt);
+    const ClassMetrics hy = ClassOf(r.metrics, AppClass::kHydro2d);
+    std::printf("%-12s | %8.1f / %8.1f / %5.1f | %8.1f / %8.1f / %5.1f | %9.1f | %6d\n", label,
+                bt.avg_response_s, bt.avg_exec_s, bt.avg_alloc, hy.avg_response_s,
+                hy.avg_exec_s, hy.avg_alloc, r.metrics.makespan_s, r.max_ml);
+  };
+  std::printf("=== Ablation: target efficiency sweep (w2, load = 100%%) ===\n\n");
+  std::printf("%-12s | %28s | %28s | %9s | %6s\n", "target_eff", "bt resp/exec/cpus",
+              "hydro2d resp/exec/cpus", "makespan", "max ml");
+  for (double target : {0.5, 0.6, 0.7, 0.8}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW2, 1.0, PolicyKind::kPdpa);
+    config.pdpa.target_eff = target;
+    char label[32];
+    std::snprintf(label, sizeof(label), "%.1f", target);
+    run_one(label, config);
+  }
+  ExperimentConfig dynamic = MakeConfig(WorkloadId::kW2, 1.0, PolicyKind::kPdpa);
+  dynamic.pdpa.dynamic_target = true;
+  run_one("dynamic", dynamic);
+  std::printf(
+      "\nReading: raising target_eff trims hydro2d harder (fewer CPUs, longer\n"
+      "exec) and frees capacity; the dynamic mode relaxes the target when the\n"
+      "machine has headroom and tightens it under pressure.\n");
+}
+
+// Ablation (DESIGN.md §5): robustness to measurement noise, the allocation
+// step and the reallocation cost, PDPA against the reactive policies.
+void AblationRobustness() {
+  std::printf("=== Ablation: robustness sweeps (w2, load = 100%%) ===\n\n");
+
+  std::printf("-- measurement noise sigma (PDPA vs Equal_efficiency mean response, s) --\n");
+  std::printf("%-8s %12s %12s\n", "sigma", "PDPA", "Equal_eff");
+  for (double sigma : {0.0, 0.02, 0.05, 0.1, 0.2}) {
+    std::vector<double> resp;
+    for (PolicyKind policy : {PolicyKind::kPdpa, PolicyKind::kEqualEfficiency}) {
+      ExperimentConfig config = MakeConfig(WorkloadId::kW2, 1.0, policy);
+      config.rm.analyzer.noise_sigma = sigma;
+      resp.push_back(MeanResponse(RunExperiment(config).metrics));
+    }
+    std::printf("%-8.2f %12.1f %12.1f\n", sigma, resp[0], resp[1]);
+  }
+
+  std::printf("\n-- PDPA step size (search granularity) --\n");
+  std::printf("%-8s %12s %14s %15s\n", "step", "mean resp", "makespan (s)", "reallocations");
+  for (int step : {1, 2, 4, 8, 16}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW2, 1.0, PolicyKind::kPdpa);
+    config.pdpa.step = step;
+    const ExperimentResult r = RunExperiment(config);
+    std::printf("%-8d %12.1f %14.1f %15lld\n", step, MeanResponse(r.metrics),
+                r.metrics.makespan_s, r.reallocations);
+  }
+
+  std::printf("\n-- reconfiguration freeze (cost per reallocation, ms) --\n");
+  std::printf("%-8s %12s %12s %12s\n", "ms", "PDPA", "Equal_eff", "Dynamic");
+  for (double freeze_ms : {0.0, 30.0, 100.0, 300.0}) {
+    std::vector<double> resp;
+    for (PolicyKind policy :
+         {PolicyKind::kPdpa, PolicyKind::kEqualEfficiency, PolicyKind::kMcCannDynamic}) {
+      ExperimentConfig config = MakeConfig(WorkloadId::kW2, 1.0, policy);
+      config.rm.app_costs.reconfig_freeze = MillisToTime(freeze_ms);
+      resp.push_back(MeanResponse(RunExperiment(config).metrics));
+    }
+    std::printf("%-8.0f %12.1f %12.1f %12.1f\n", freeze_ms, resp[0], resp[1], resp[2]);
+  }
+  std::printf(
+      "\nReading: PDPA absorbs realistic measurement noise (<=5%%) and is nearly\n"
+      "immune to the reallocation cost (it converges and holds), while the\n"
+      "reactive policies pay for every reallocation. The flip side of\n"
+      "convergence shows at extreme noise (20%%): PDPA can lock in a wrong\n"
+      "decision (anti-ping-pong limit) where the constantly-reacting\n"
+      "Equal_efficiency averages errors out. Small steps search slowly; huge\n"
+      "steps overshoot: the paper's step=4 sits at the sweet spot.\n");
+}
+
+// Extra baseline: "Dynamic" (McCann, Vaswani, Zahorjan 1993) from the
+// paper's related work, whose critique is "a large number of
+// reallocations", measured against Equipartition and PDPA on workload 2.
+void ExtraDynamicPolicy() {
+  std::printf("=== Extra: Dynamic (McCann et al.) vs Equip vs PDPA, w2, load=100%% ===\n");
+  std::printf("%-10s | %19s | %21s | %13s | %12s\n", "policy", "bt resp/exec (s)",
+              "hydro2d resp/exec (s)", "reallocations", "migrations");
+  for (PolicyKind policy :
+       {PolicyKind::kEquipartition, PolicyKind::kMcCannDynamic, PolicyKind::kPdpa}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW2, 1.0, policy);
+    config.record_trace = true;
+    const ExperimentResult r = RunExperiment(config);
+    const ClassMetrics bt = ClassOf(r.metrics, AppClass::kBt);
+    const ClassMetrics hy = ClassOf(r.metrics, AppClass::kHydro2d);
+    std::printf("%-10s | %8.1f / %8.1f | %9.1f / %9.1f | %13lld | %12lld\n",
+                r.policy_name.c_str(), bt.avg_response_s, bt.avg_exec_s, hy.avg_response_s,
+                hy.avg_exec_s, r.reallocations, r.trace_stats.migrations);
+  }
+  std::printf(
+      "\nReading: Dynamic repartitions on every report ('a large number of\n"
+      "reallocations', as the paper puts it) where Equip moves only at\n"
+      "arrivals/completions and PDPA converges and holds; every reallocation\n"
+      "charges a reconfiguration freeze, which is why Dynamic's execution\n"
+      "times are the worst of the three.\n");
+}
+
+// Future work (Sec. 6): rigid MPI-like jobs under PDPA. Alternating
+// malleable and rigid bt jobs; rigid jobs either wait for their full request
+// or start at once and fold their 40 processes onto whatever is free.
+void ExtraRigidFolding() {
+  // Rigid MPI builds are tied to a process count (40) that does not tile the
+  // 60-CPU machine with the malleable jobs' allocations: exactly the
+  // fragmentation case folding targets.
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 12; ++i) {
+    JobSpec spec;
+    spec.id = i;
+    spec.app_class = AppClass::kBt;
+    spec.submit = i * 20 * kSecond;
+    spec.rigid = (i % 2) == 1;
+    spec.request = spec.rigid ? 40 : 30;
+    jobs.push_back(spec);
+  }
+  std::printf("=== Extra: rigid (MPI-like) jobs — folding vs waiting, under PDPA ===\n\n");
+  std::printf("%-18s | %12s | %12s | %10s | %10s\n", "rigid regime", "response(s)", "exec(s)",
+              "wait(s)", "makespan");
+  for (bool hold : {true, false}) {
+    ExperimentConfig config = MakeConfig(WorkloadId::kW1, 1.0, PolicyKind::kPdpa);
+    config.jobs_override = jobs;
+    config.hold_rigid_until_fit = hold;
+    const ExperimentResult r = RunExperiment(config);
+    const ClassMetrics bt = r.metrics.per_class.at(AppClass::kBt);
+    std::printf("%-18s | %12.1f | %12.1f | %10.1f | %8.0f s\n",
+                hold ? "wait-for-request" : "fold", bt.avg_response_s, bt.avg_exec_s,
+                bt.avg_wait_s, r.metrics.makespan_s);
+  }
+  std::printf(
+      "\nReading: folding lets rigid jobs start on whatever is free (paying the\n"
+      "%2.0f%% folding overhead in execution time) instead of blocking the queue\n"
+      "until 30 CPUs are free at once — the classic malleability-vs-rigidity\n"
+      "trade the paper's future-work section targets for MPI codes.\n",
+      (1.0 - AppCosts{}.folding_overhead) * 100.0);
+}
+
+// Future work (Sec. 6): PDPA on a cluster of SMPs. The same workload on one
+// 64-CPU SMP and on 4 x 16-CPU nodes under per-node PDPA with each placement
+// policy; node-local jobs pay node-boundary fragmentation.
+void ExtraCluster() {
+  const auto print_row = [](const char* label, const WorkloadMetrics& metrics, bool completed) {
+    std::printf("%-24s | %10.1f | %12.1f%s\n", label, MeanResponse(metrics), metrics.makespan_s,
+                completed ? "" : "  [CUTOFF]");
+  };
+  std::printf("=== Extra: PDPA on a cluster of SMPs (w2, load = 100%%) ===\n\n");
+  const std::vector<JobSpec> jobs = BuildWorkload(WorkloadId::kW2, 1.0, /*seed=*/42,
+                                                  /*untuned=*/false, /*num_cpus=*/64);
+  std::printf("%-24s | %10s | %12s\n", "configuration", "mean resp", "makespan (s)");
+
+  ExperimentConfig smp = MakeConfig(WorkloadId::kW2, 1.0, PolicyKind::kPdpa);
+  smp.num_cpus = 64;
+  smp.jobs_override = jobs;
+  const ExperimentResult reference = RunExperiment(smp);
+  print_row("1 x 64 SMP", reference.metrics, reference.completed);
+
+  for (PlacementPolicy placement :
+       {PlacementPolicy::kRoundRobin, PlacementPolicy::kMostFreeCpus,
+        PlacementPolicy::kLeastLoaded}) {
+    ClusterOptions options;
+    options.num_nodes = 4;
+    options.cpus_per_node = 16;
+    options.placement = placement;
+    options.make_policy = [] {
+      return std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{});
+    };
+    options.seed = 99;
+    options.max_sim_time = 4 * 3600 * kSecond;
+    const ClusterResult run = RunCluster(jobs, options);
+    char label[64];
+    std::snprintf(label, sizeof(label), "4 x 16, %s", PlacementPolicyName(placement));
+    print_row(label, ComputeMetrics(run.outcomes, run.alloc_integral_us), run.completed);
+  }
+  std::printf(
+      "\nReading: node boundaries cap every job at 16 CPUs, so the cluster's\n"
+      "execution times stretch; per-node PDPA still packs each node (jobs\n"
+      "shrink to fit) and placement choice shifts the balance between nodes.\n");
+}
+
+struct Row {
+  const char* name;
+  const char* summary;
+  void (*run)();
+};
+
+constexpr Row kRows[] = {
+    {"fig03", "speedup curves of swim, bt.A, hydro2d, apsi", Fig03},
+    {"fig04", "workload 1 (swim + bt) response/execution vs load", Fig04},
+    {"fig05", "ASCII execution views of w1 @ 100% under IRIX and PDPA", Fig05},
+    {"table2", "migrations and bursts, IRIX vs PDPA vs Equip, w1 @ 100%", Table2},
+    {"fig06", "workload 2 (bt + hydro2d) response/execution vs load", Fig06},
+    {"fig07", "workload 2 at multiprogramming levels 2, 3, 4", Fig07},
+    {"fig08", "multiprogramming level decided by PDPA over time, w2 @ 100%", Fig08},
+    {"fig09", "workload 3 (bt + apsi) response/execution vs load", Fig09},
+    {"table3", "w3 with apsi untuned, Equip vs PDPA @ 60%", Table3},
+    {"fig10", "workload 4 (all classes) response/execution vs load", Fig10},
+    {"table4", "w4 with every request untuned, Equip vs PDPA @ 60%", Table4},
+    {"ablation_coordination", "allocation policy vs ML coordination on w3",
+     AblationCoordination},
+    {"ablation_target_eff", "target efficiency sweep on w2 @ 100%", AblationTargetEff},
+    {"ablation_robustness", "noise, step and reallocation-cost sweeps on w2 @ 100%",
+     AblationRobustness},
+    {"extra_dynamic_policy", "McCann et al.'s Dynamic vs Equip vs PDPA on w2",
+     ExtraDynamicPolicy},
+    {"extra_rigid_folding", "rigid MPI-like jobs, folding vs waiting, under PDPA",
+     ExtraRigidFolding},
+    {"extra_cluster", "PDPA on one 64-CPU SMP vs a 4 x 16-CPU cluster", ExtraCluster},
+};
+
+int Run(int argc, char** argv) {
+  FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
+  if (flags.GetBool("help", false)) {
+    std::printf("usage: pdpa_figures [row...]\n\n"
+                "Prints the paper's figures and tables as text. With no rows, prints\n"
+                "every row in the order below.\n\nrows:\n");
+    for (const Row& row : kRows) {
+      std::printf("  %-22s %s\n", row.name, row.summary);
+    }
+    std::printf("\nflags:\n  --help                 this text\n");
+    return 0;
+  }
+  for (const std::string& unknown : flags.UnconsumedFlags()) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", unknown.c_str());
+    return 2;
+  }
+  if (flags.had_parse_error()) {
+    std::fprintf(stderr, "malformed flag value (see --help)\n");
+    return 2;
+  }
+  std::vector<const Row*> selected;
+  for (const std::string& name : flags.positional()) {
+    const auto it = std::find_if(std::begin(kRows), std::end(kRows),
+                                 [&](const Row& row) { return name == row.name; });
+    if (it == std::end(kRows)) {
+      std::fprintf(stderr, "unknown row '%s' (see --help)\n", name.c_str());
+      return 2;
+    }
+    selected.push_back(it);
+  }
+  if (selected.empty()) {
+    for (const Row& row : kRows) {
+      selected.push_back(&row);
+    }
+  }
+  for (const Row* row : selected) {
+    row->run();
+  }
+  return 0;
+}
+
+}  // namespace
+}  // namespace pdpa
+
+int main(int argc, char** argv) { return pdpa::Run(argc, argv); }

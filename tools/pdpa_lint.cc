@@ -42,7 +42,7 @@ using lint::Waiver;
 constexpr const char* kUsage = R"(usage: pdpa_lint [paths...] [flags]
 
 Lints C++ sources (*.h, *.cc) for determinism and hygiene violations.
-With no paths, lints src/ tools/ bench/ under --root. Phase 1 indexes the
+With no paths, lints src/ and tools/ under --root. Phase 1 indexes the
 whole input set (includes, mutex ranks, lock sites); phase 2 runs per-file
 and whole-program rules, so repo-wide rules see every file at once.
 
@@ -53,7 +53,7 @@ flags:
                     if present; layer rules are skipped without one)
   --json FILE       also write a JSON report ("-" for stdout)
   --today YYYY-MM-DD  waiver-expiry reference date (default: today)
-  --treat-as DIR    classify explicit paths as src|tools|bench for rule
+  --treat-as DIR    classify explicit paths as src|tools for rule
                     scoping (fixture testing)
   --list-rules      print the rule catalog and exit
   --explain RULE    print one rule's rationale and escape hatch, then exit
@@ -74,9 +74,6 @@ Scope ScopeOf(const std::string& rel_path) {
   }
   if (rel_path.rfind("tools/", 0) == 0) {
     return Scope::kTools;
-  }
-  if (rel_path.rfind("bench/", 0) == 0) {
-    return Scope::kBench;
   }
   return Scope::kOther;
 }
@@ -242,10 +239,8 @@ int Run(int argc, char** argv) {
       forced_scope = Scope::kSrc;
     } else if (treat_as == "tools") {
       forced_scope = Scope::kTools;
-    } else if (treat_as == "bench") {
-      forced_scope = Scope::kBench;
     } else {
-      std::fprintf(stderr, "pdpa_lint: bad --treat-as %s (want src|tools|bench)\n",
+      std::fprintf(stderr, "pdpa_lint: bad --treat-as %s (want src|tools)\n",
                    treat_as.c_str());
       return 2;
     }
@@ -265,7 +260,7 @@ int Run(int argc, char** argv) {
   }
 
   if (inputs.empty()) {
-    for (const char* dir : {"src", "tools", "bench"}) {
+    for (const char* dir : {"src", "tools"}) {
       const fs::path path = fs::path(root) / dir;
       std::error_code ec;
       if (fs::is_directory(path, ec)) {
