@@ -89,9 +89,9 @@ struct ClusterOptions {
   int shards = 1;
   // Simulation-time cutoff; 0 means run until the workload drains.
   SimTime max_sim_time = 0;
-  // Epoch-batched arrival handling (see the header comment). The escape
-  // hatch (`--no_arrival_batch` in the CLIs) restores the historical
-  // one-arrival-per-barrier protocol; outputs differ only in the
+  // Epoch-batched arrival handling (see the header comment). Off restores
+  // the historical one-arrival-per-barrier protocol, the reference the
+  // cluster tests compare against; outputs differ only in the
   // batch-protocol counters.
   bool arrival_batch = true;
   // Borrowed host-time profiler for the controller thread (null disables).

@@ -2,11 +2,9 @@
 
 #include <cassert>
 
-#if !defined(PDPA_FMT_FORCE_SNPRINTF)
 #include <charconv>
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
 #define PDPA_FMT_HAVE_TO_CHARS 1
-#endif
 #endif
 
 #if !defined(PDPA_FMT_HAVE_TO_CHARS)

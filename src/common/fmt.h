@@ -16,9 +16,8 @@
 // are specified to produce printf-style output; the equivalence is pinned
 // by an exhaustive-corpus golden test against StrFormat
 // (tests/serialization_test.cc). On toolchains without floating-point
-// to_chars (or with -DPDPA_FMT_FORCE_SNPRINTF, the pinned escape hatch if
-// a platform ever diverges from the contract) the same functions fall back
-// to snprintf into a stack buffer — still allocation-free, just slower.
+// to_chars the same functions fall back to snprintf into a stack buffer —
+// still allocation-free, just slower.
 #ifndef SRC_COMMON_FMT_H_
 #define SRC_COMMON_FMT_H_
 

@@ -34,13 +34,11 @@ void SelfTuner::OnIteration(double wall_seconds, int width) {
     }
     return;
   }
-  const double versus_baseline = baseline_s_ / wall_seconds;
-  const double baseline_speedup =
-      params_.baseline_width <= 1 ? 1.0 : params_.amdahl_factor * params_.baseline_width;
   PerfReport report;
   report.job = job_;
   report.procs = width;
-  report.speedup = std::max(0.05, versus_baseline * baseline_speedup);
+  report.speedup =
+      NormalizedSpeedup(baseline_s_, wall_seconds, params_.baseline_width, params_.amdahl_factor);
   report.efficiency = report.speedup / width;
   report.when = 0;
   latest_ = report;

@@ -37,6 +37,13 @@ double SelfAnalyzer::NoisySeconds(SimDuration wall) {
   return seconds * factor;
 }
 
+double NormalizedSpeedup(double baseline_s, double time_with_p, int baseline_procs,
+                         double amdahl_factor) {
+  const double versus_baseline = baseline_s / time_with_p;
+  const double baseline_speedup = baseline_procs <= 1 ? 1.0 : amdahl_factor * baseline_procs;
+  return std::max(0.05, versus_baseline * baseline_speedup);
+}
+
 void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
   if (!baseline_done_) {
     // Baseline phase: only clean iterations at the baseline count qualify.
@@ -81,16 +88,11 @@ void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
     return;
   }
 
-  // Speedup versus baseline, then normalized to "versus one processor":
-  // the baseline with b processors is assumed to run at AF * b speedup
-  // (Amdahl's factor), except b == 1 which is exact.
-  const double versus_baseline = baseline_time_s_ / time_with_p;
-  const double baseline_speedup =
-      baseline_procs_ <= 1 ? 1.0 : params_.amdahl_factor * baseline_procs_;
   PerfReport report;
   report.job = app_->id();
   report.procs = record.procs;
-  report.speedup = std::max(0.05, versus_baseline * baseline_speedup);
+  report.speedup =
+      NormalizedSpeedup(baseline_time_s_, time_with_p, baseline_procs_, params_.amdahl_factor);
   report.efficiency = report.speedup / std::max(1, record.procs);
   report.when = now;
   reports_emitted_->Increment();

@@ -47,6 +47,15 @@ struct SelfAnalyzerParams {
   int measure_iterations = 1;
 };
 
+// The estimator core, shared with the wall-clock SelfTuner (src/rt):
+// speedup versus one processor from the mean baseline iteration time
+// (measured with `baseline_procs` processors) and the mean iteration time
+// with P processors. The baseline is assumed to run at AF * b speedup
+// (Amdahl's factor), except b == 1 which is exact; the result is floored at
+// 0.05.
+double NormalizedSpeedup(double baseline_s, double time_with_p, int baseline_procs,
+                         double amdahl_factor);
+
 class SelfAnalyzer {
  public:
   using ReportCallback = std::function<void(const PerfReport&)>;

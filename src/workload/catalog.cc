@@ -32,6 +32,16 @@ const char* WorkloadShortName(WorkloadId id) {
   return "w";
 }
 
+bool ParseWorkloadId(std::string_view text, WorkloadId* out) {
+  for (const WorkloadId id : {WorkloadId::kW1, WorkloadId::kW2, WorkloadId::kW3, WorkloadId::kW4}) {
+    if (text == WorkloadShortName(id)) {
+      *out = id;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::array<double, kNumAppClasses> WorkloadShares(WorkloadId id) {
   // Index order: swim, bt, hydro2d, apsi.
   switch (id) {

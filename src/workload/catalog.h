@@ -4,6 +4,7 @@
 #define SRC_WORKLOAD_CATALOG_H_
 
 #include <array>
+#include <string_view>
 #include <vector>
 
 #include "src/qs/job.h"
@@ -24,6 +25,9 @@ const char* WorkloadName(WorkloadId id);
 // suffix that WorkloadName adds ("w1(swim+bt)" would put parentheses in
 // paths).
 const char* WorkloadShortName(WorkloadId id);
+// Accepts the short names ("w1".."w4"). Returns false on anything else,
+// leaving *out untouched.
+bool ParseWorkloadId(std::string_view text, WorkloadId* out);
 
 std::array<double, kNumAppClasses> WorkloadShares(WorkloadId id);
 

@@ -29,7 +29,6 @@ ClusterCellOutput RunClusterCell(const ExperimentConfig& config, const ClusterCe
   options.seed = config.seed;
   options.shards = cluster.shards;
   options.max_sim_time = config.max_sim_time;
-  options.arrival_batch = cluster.arrival_batch;
   options.profiler = config.profiler;
   options.capture_events = cluster.capture_events;
   options.capture_timeseries = cluster.capture_timeseries;

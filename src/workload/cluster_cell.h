@@ -31,9 +31,6 @@ struct ClusterCellConfig {
   // Worker event loops for the sharded engine; 1 = serial reference. The
   // output contract (cluster.h) makes this a pure wall-clock knob.
   int shards = 1;
-  // Epoch-batched arrival handling (cluster.h); false restores the
-  // one-arrival-per-barrier reference protocol (--no_arrival_batch).
-  bool arrival_batch = true;
   bool capture_counters = false;
   bool capture_events = false;
   bool capture_timeseries = false;

@@ -34,6 +34,23 @@ const char* PolicyKindName(PolicyKind kind) {
   return "?";
 }
 
+bool ParsePolicyKind(std::string_view text, PolicyKind* out) {
+  static constexpr std::pair<std::string_view, PolicyKind> kNames[] = {
+      {"irix", PolicyKind::kIrix},
+      {"equip", PolicyKind::kEquipartition},
+      {"equal_eff", PolicyKind::kEqualEfficiency},
+      {"pdpa", PolicyKind::kPdpa},
+      {"dynamic", PolicyKind::kMcCannDynamic},
+  };
+  for (const auto& [name, kind] : kNames) {
+    if (text == name) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
 std::unique_ptr<SchedulingPolicy> MakePolicy(const ExperimentConfig& config) {
   switch (config.policy) {
     case PolicyKind::kIrix: {

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/pdpa.h"
@@ -32,6 +33,9 @@ enum class PolicyKind : int {
 };
 
 const char* PolicyKindName(PolicyKind kind);
+// Accepts the command-line names: irix, equip, equal_eff, pdpa, dynamic.
+// Returns false on anything else, leaving *out untouched.
+bool ParsePolicyKind(std::string_view text, PolicyKind* out);
 
 struct ExperimentConfig {
   WorkloadId workload = WorkloadId::kW1;

@@ -67,8 +67,7 @@ std::vector<SweepCell> ExpandGrid(const SweepGrid& grid) {
             cell.config.seed = seed;
             cell.nodes = grid.nodes;
             cell.cpus_per_node = grid.cpus_per_node;
-            cell.cluster_shards = grid.cluster_shards;
-            cell.arrival_batch = grid.arrival_batch;
+            cell.shards = grid.shards;
             cell.placement = placement;
             if (cluster) {
               // Arrival rates must scale with the whole cluster's capacity.
@@ -87,9 +86,10 @@ namespace {
 
 // The shared-prefix state of one (workload, load, seed) group (DESIGN.md
 // §12). The first of the group's cells to reach RunCell resolves the job
-// trace and — when the group is forkable — runs and snapshots the prefix,
-// all under the group mutex; the fields are immutable afterwards, and every
-// later reader's own acquisition of the mutex publishes them.
+// trace and — when the sweep builds prefixes and the group is forkable —
+// runs and snapshots the prefix, all under the group mutex; the fields are
+// immutable afterwards, and every later reader's own acquisition of the
+// mutex publishes them.
 struct ForkGroup {
   // Ranked between the sweep cursor (held around neither BuildJobs nor the
   // prefix run) and the Registry lock, which prefix building reaches when
@@ -116,11 +116,12 @@ struct CellScratch {
   TimeSeriesSampler timeseries;
 };
 
-// Runs one cell with its private observability context. `forked` is the
-// cell's slot in the sweep-wide fork flags (distinct per cell, so writes
+// Runs one cell with its private observability context. `build_prefix`
+// says whether the cell's group may run a shared prefix at all; `forked` is
+// the cell's slot in the sweep-wide fork flags (distinct per cell, so writes
 // need no lock).
-void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, ForkGroup* group,
-             CellScratch* scratch, char* forked, SweepCellResult* out) {
+void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_prefix, int worker,
+             ForkGroup* group, CellScratch* scratch, char* forked, SweepCellResult* out) {
   Registry registry;
   ExperimentConfig config = cell.config;
   config.registry = &registry;
@@ -140,55 +141,14 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
     config.profiler = &out->profile;
     out->host_begin_ns = prof::NowNanos();
   }
-  if (cell.nodes > 1) {
-    // Cluster cell: RunCluster owns its observability sinks, so the scratch
-    // wiring above is unused; recordings come back by value. The fork
-    // machinery never applies (no shared prefix across per-node timelines)
-    // but the group's immutable job trace is still shared.
-    {
-      ProfScope cell_scope(options.capture_prof ? &out->profile : nullptr, SpanId::kSweepCell);
-      config.event_log = nullptr;
-      config.timeseries = nullptr;
-      ClusterCellConfig cluster;
-      cluster.nodes = cell.nodes;
-      cluster.cpus_per_node = cell.cpus_per_node;
-      cluster.placement = cell.placement;
-      cluster.shards = cell.cluster_shards;
-      cluster.arrival_batch = cell.arrival_batch;
-      cluster.capture_counters = options.capture_counters;
-      cluster.capture_events = options.capture_events;
-      cluster.capture_timeseries = options.capture_timeseries;
-      std::shared_ptr<const std::vector<JobSpec>> jobs;
-      if (options.fork) {
-        const MutexLock lock(&group->group_mutex);
-        if (!group->built) {
-          // Trace only; no prefix snapshot (group->forkable stays false).
-          group->jobs = BuildJobs(config);
-          group->built = true;
-        }
-        jobs = group->jobs;
-      } else {
-        jobs = BuildJobs(config);
-      }
-      ClusterCellOutput cluster_out = RunClusterCell(config, cluster, std::move(jobs));
-      out->result = std::move(cluster_out.result);
-      out->counters = std::move(cluster_out.counters);
-      out->events_jsonl = std::move(cluster_out.events_jsonl);
-      out->timeseries_csv = std::move(cluster_out.timeseries_csv);
-    }
-    if (options.capture_prof) {
-      out->host_end_ns = prof::NowNanos();
-    }
-    return;
-  }
   {
     ProfScope cell_scope(options.capture_prof ? &out->profile : nullptr, SpanId::kSweepCell);
     bool fork_this_cell = false;
-    if (options.fork) {
+    {
       const MutexLock lock(&group->group_mutex);
       if (!group->built) {
         group->jobs = BuildJobs(config);
-        if (PrefixForkable(config, *group->jobs)) {
+        if (build_prefix && PrefixForkable(config, *group->jobs)) {
           group->snapshot = BuildPrefixSnapshot(config, group->jobs);
           group->forkable = true;
         }
@@ -196,19 +156,36 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
       }
       fork_this_cell = group->forkable && ForkEligible(config, *group->jobs);
     }
-    if (fork_this_cell) {
+    if (cell.nodes > 1) {
+      // Cluster cell: RunCluster owns its observability sinks, so the scratch
+      // wiring above is unused; recordings come back by value.
+      config.event_log = nullptr;
+      config.timeseries = nullptr;
+      ClusterCellConfig cluster;
+      cluster.nodes = cell.nodes;
+      cluster.cpus_per_node = cell.cpus_per_node;
+      cluster.placement = cell.placement;
+      cluster.shards = cell.shards;
+      cluster.capture_counters = options.capture_counters;
+      cluster.capture_events = options.capture_events;
+      cluster.capture_timeseries = options.capture_timeseries;
+      ClusterCellOutput cluster_out = RunClusterCell(config, cluster, group->jobs);
+      out->result = std::move(cluster_out.result);
+      out->counters = std::move(cluster_out.counters);
+      out->events_jsonl = std::move(cluster_out.events_jsonl);
+      out->timeseries_csv = std::move(cluster_out.timeseries_csv);
+    } else if (fork_this_cell) {
       out->result = RunExperimentFrom(config, group->snapshot);
       *forked = 1;
-    } else if (options.fork) {
-      // Cold cell of a fork-enabled sweep (ineligible policy or prefix):
-      // still reuse the group's immutable job trace instead of rebuilding.
-      out->result = RunExperiment(config, group->jobs);
     } else {
-      out->result = RunExperiment(config);
+      out->result = RunExperiment(config, group->jobs);
     }
   }
   if (options.capture_prof) {
     out->host_end_ns = prof::NowNanos();
+  }
+  if (cell.nodes > 1) {
+    return;
   }
   if (options.capture_counters) {
     out->counters = registry.Snapshot();
@@ -264,6 +241,10 @@ std::vector<SweepCellResult> RunSweep(const SweepGrid& grid, const SweepOptions&
   const std::size_t num_policies = grid.policies.size() * num_placements;
   const std::size_t num_loads = grid.loads.size();
   std::vector<ForkGroup> groups(grid.workloads.size() * num_loads * num_seeds);
+  // A group holds num_policies cells. A one-cell group runs cold: a prefix
+  // run plus one fork costs more than one cold run. Cluster cells never
+  // fork (every node owns a private pre-arrival timeline).
+  const bool build_prefix = grid.nodes == 1 && num_policies > 1;
   const auto group_of = [num_seeds, num_policies, num_loads](std::size_t index) {
     const std::size_t seed = index % num_seeds;
     const std::size_t load = (index / (num_seeds * num_policies)) % num_loads;
@@ -280,8 +261,8 @@ std::vector<SweepCellResult> RunSweep(const SweepGrid& grid, const SweepOptions&
   if (jobs == 1) {
     CellScratch scratch;
     for (const SweepCell& cell : cells) {
-      RunCell(cell, options, 0, &groups[group_of(cell.index)], &scratch, &forked[cell.index],
-              &results[cell.index]);
+      RunCell(cell, options, build_prefix, 0, &groups[group_of(cell.index)], &scratch,
+              &forked[cell.index], &results[cell.index]);
       FinishCell(&state, options, cells.size(), cell.index);
     }
   } else {
@@ -291,7 +272,8 @@ std::vector<SweepCellResult> RunSweep(const SweepGrid& grid, const SweepOptions&
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(jobs));
     for (int i = 0; i < jobs; ++i) {
-      workers.emplace_back([&cells, &results, &options, &state, &groups, &forked, group_of, i] {
+      workers.emplace_back([&cells, &results, &options, &state, &groups, &forked, group_of,
+                            build_prefix, i] {
         CellScratch scratch;
         for (;;) {
           std::size_t index = 0;
@@ -302,8 +284,8 @@ std::vector<SweepCellResult> RunSweep(const SweepGrid& grid, const SweepOptions&
             }
             index = state.next_cell++;
           }
-          RunCell(cells[index], options, i, &groups[group_of(index)], &scratch, &forked[index],
-                  &results[index]);
+          RunCell(cells[index], options, build_prefix, i, &groups[group_of(index)], &scratch,
+                  &forked[index], &results[index]);
           FinishCell(&state, options, cells.size(), index);
         }
       });

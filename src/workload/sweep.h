@@ -54,10 +54,7 @@ struct SweepGrid {
   std::vector<PlacementPolicy> placements = {PlacementPolicy::kRoundRobin};
   // Per-cell shard count for the cluster engine (wall-clock only; outputs
   // are shard-count-invariant).
-  int cluster_shards = 1;
-  // Epoch-batched arrival handling in the cluster engine (cluster.h);
-  // false restores the one-arrival-per-barrier reference protocol.
-  bool arrival_batch = true;
+  int shards = 1;
 };
 
 // One fully resolved grid cell.
@@ -75,8 +72,7 @@ struct SweepCell {
   // Copied from the grid; nodes == 1 means a single-SMP cell.
   int nodes = 1;
   int cpus_per_node = 60;
-  int cluster_shards = 1;
-  bool arrival_batch = true;
+  int shards = 1;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
 };
 
@@ -104,7 +100,9 @@ struct SweepProgress {
 struct ForkStats {
   // (workload, load, seed) groups in the grid.
   std::size_t groups = 0;
-  // Groups whose shared prefix was actually run and snapshotted.
+  // Groups whose shared prefix was actually run and snapshotted. A group
+  // of one cell (a one-policy single-node grid) and a cluster group never
+  // build one: a prefix run plus one fork costs more than one cold run.
   std::size_t prefixes_built = 0;
   // Cells started from a group snapshot vs. run cold from t=0.
   std::size_t forked_cells = 0;
@@ -132,11 +130,6 @@ struct SweepOptions {
   // serialized and need no locking of their own — but must stay quick and
   // must not call back into RunSweep.
   std::function<void(const SweepProgress&)> on_progress;
-  // Shared-prefix forking (DESIGN.md §12): run each (workload, load, seed)
-  // group's policy-independent prefix once and fork the group's eligible
-  // cells from the snapshot. Outputs are byte-identical either way; off is
-  // the escape hatch (--no_fork) for bisecting and for exactness audits.
-  bool fork = true;
   // When set, receives what the fork machinery did (written after the sweep
   // completes, from the calling thread).
   ForkStats* fork_stats = nullptr;

@@ -103,23 +103,16 @@ expect_cli(2 err "must be >= 1" ${SIM} --nodes 0)
 expect_cli(2 err "single-node only" ${SIM} --nodes 2 --view)
 expect_cli(0 out "policy PDPA@mf, .* peak node ML" ${SIM} --workload w1 --load 0.6
            --nodes 3 --cpus_per_node 20 --placement mf --shards 2)
-expect_cli(0 out "--cluster_shards" ${BATCH} --help)
+expect_cli(0 out "--shards" ${BATCH} --help)
 expect_cli(0 out "--placement LIST" ${BATCH} --help)
-expect_cli(2 err "unknown placement bogus" ${BATCH} --nodes 4 --placement bogus)
-expect_cli(2 err "must be >= 1" ${BATCH} --cluster_shards 0)
+expect_cli(2 err "unknown --placement bogus" ${BATCH} --nodes 4 --placement bogus)
+expect_cli(2 err "must be >= 1" ${BATCH} --shards 0)
 expect_cli(0 out "PDPA@ll" ${BATCH} --workloads w1 --loads 0.6 --policies pdpa
-           --nodes 3 --cpus_per_node 20 --placement rr,ll --cluster_shards 2)
+           --nodes 3 --cpus_per_node 20 --placement rr,ll --shards 2)
+expect_cli(2 err "--placement takes one policy" ${SIM} --nodes 3 --placement rr,ll)
 
-# Epoch batching (DESIGN.md §13): the escape hatch is documented in both
-# tools, is cluster-only (usage error on a single-SMP run), and a cluster
-# run can be profiled — the controller-plane spans show up in the table.
-expect_cli(0 out "--no_arrival_batch" ${SIM} --help)
-expect_cli(0 out "--no_arrival_batch" ${BATCH} --help)
-expect_cli(2 err "cluster-only .requires --nodes > 1." ${SIM} --no_arrival_batch)
-expect_cli(2 err "cluster-only .requires --nodes > 1." ${BATCH} --no_arrival_batch
-           --workloads w1 --loads 0.6)
-expect_cli(0 out "policy PDPA@rr" ${SIM} --workload w1 --load 0.6
-           --nodes 3 --cpus_per_node 20 --no_arrival_batch)
+# A cluster run can be profiled: the controller-plane spans show up in the
+# table.
 expect_cli(0 out "cluster.place" ${SIM} --workload w1 --load 0.6
            --nodes 3 --cpus_per_node 20 --prof)
 expect_cli(0 out "cluster.barrier_wait" ${SIM} --workload w1 --load 0.6
@@ -133,7 +126,7 @@ expect_cli(0 out "rationale:" ${LINT} --explain ptr-taint)
 expect_cli(0 out "escape hatch:" ${LINT} --explain ptr-taint)
 expect_cli(0 out "ptr-taint-ok" ${LINT} --explain ptr-taint)
 expect_cli(0 out "PDPA_LOCK_RANK" ${LINT} --explain lock-order)
-expect_cli(2 err "unknown rule 'bogus' .see --list-rules." ${LINT} --explain bogus)
+expect_cli(2 err "unknown rule 'bogus' .see --list_rules." ${LINT} --explain bogus)
 
 # pdpa_figures: --help names every row in table order; rows are the only
 # arguments, so an unknown row or any other flag is a usage error.
@@ -142,21 +135,48 @@ expect_cli(0 out "fig03 .*fig04 .*fig05 .*table2 .*fig06 .*fig07 .*fig08 .*fig09
 expect_cli(2 err "unknown row 'fig99' .see --help." ${FIGURES} fig99)
 expect_cli(2 err "unknown flag --bogus" ${FIGURES} --bogus)
 
-# --no_fork is the shared-prefix escape hatch: both modes must exit 0 and
-# produce byte-identical CSV (the fork log line is info-level, on stderr).
-expect_cli(0 out "workload,load,policy" ${BATCH} --workloads w2 --loads 1.0
-           --policies equip,pdpa --seeds 2 --no_fork)
-expect_cli(0 err "cells forked" ${BATCH} --workloads w2 --loads 1.0
-           --policies equip,pdpa --seeds 2 --log_level info)
-execute_process(COMMAND ${BATCH} --workloads w2 --loads 1.0 --policies equip,pdpa --seeds 2
-                OUTPUT_VARIABLE forked_csv RESULT_VARIABLE forked_exit ERROR_QUIET)
-execute_process(COMMAND ${BATCH} --workloads w2 --loads 1.0 --policies equip,pdpa --seeds 2
-                --no_fork
-                OUTPUT_VARIABLE cold_csv RESULT_VARIABLE cold_exit ERROR_QUIET)
-if(NOT forked_exit EQUAL 0 OR NOT cold_exit EQUAL 0)
-  message(SEND_ERROR "pdpa_batch fork A/B exited ${forked_exit}/${cold_exit}")
-elseif(NOT forked_csv STREQUAL cold_csv)
-  message(SEND_ERROR "pdpa_batch --no_fork changed the sweep CSV bytes")
+# Shared-prefix forking (DESIGN.md §12): a multi-policy group forks its
+# cells from one prefix; a one-cell group builds no prefix and runs cold.
+expect_cli(0 err "fork: 2/2 group prefixes built, 4 cells forked, 0 cold" ${BATCH}
+           --workloads w2 --loads 1.0 --policies equip,pdpa --seeds 2 --log_level info)
+expect_cli(0 err "fork: 0/1 group prefixes built, 0 cells forked, 1 cold" ${BATCH}
+           --workloads w1 --loads 1.0 --policies equal_eff --log_level info)
+
+# pdpa_sim is a one-cell sweep: its counters equal pdpa_batch's for the same
+# cell byte for byte, even for a quantum-active policy.
+execute_process(COMMAND ${SIM} --workload w1 --load 1.0 --policy equal_eff --counters
+                OUTPUT_VARIABLE sim_out RESULT_VARIABLE sim_exit ERROR_QUIET)
+execute_process(COMMAND ${BATCH} --workloads w1 --loads 1.0 --policies equal_eff --counters
+                ERROR_VARIABLE batch_err RESULT_VARIABLE batch_exit OUTPUT_QUIET)
+string(REGEX REPLACE "^.*\ncounters:\n" "" sim_counters "${sim_out}")
+string(REGEX REPLACE "^.*\ncounters \\([^)]*\\):\n" "" batch_counters "${batch_err}")
+if(NOT sim_exit EQUAL 0 OR NOT batch_exit EQUAL 0)
+  message(SEND_ERROR "counters A/B exited ${sim_exit}/${batch_exit}")
+elseif(NOT sim_counters MATCHES "rm\\.ticks_elided" OR NOT sim_counters STREQUAL batch_counters)
+  message(SEND_ERROR "pdpa_sim and pdpa_batch counters differ:\n${sim_counters}\n--\n${batch_counters}")
 endif()
+
+# Out-of-range values are usage errors naming the flag, never a failed
+# internal check.
+expect_cli(2 err "--cpus must be >= 1" ${SIM} --cpus 0)
+expect_cli(2 err "--load must be > 0" ${SIM} --load 0)
+expect_cli(2 err "--load must be > 0" ${SIM} --load -1)
+expect_cli(2 err "--step must be >= 1" ${SIM} --step 0)
+expect_cli(2 err "--target_eff must be > 0 and <= --high_eff" ${SIM} --target_eff 1.5)
+expect_cli(2 err "--ml must be >= 1" ${SIM} --ml 0 --policy equip)
+expect_cli(2 err "--ml must be >= 1" ${SIM} --ml 0)
+expect_cli(2 err "--loads must be > 0" ${BATCH} --loads 0.6,0)
+
+# One flag spelling: underscores. No tool documents a dashed flag, and the
+# old spellings are unknown flags.
+foreach(tool ${REPORT} ${PRV} ${SIM} ${BATCH} ${LINT} ${FIGURES})
+  execute_process(COMMAND ${tool} --help OUTPUT_VARIABLE help ERROR_QUIET)
+  string(REGEX MATCH "--[a-z0-9]+-[a-z][a-z0-9-]*" dashed "${help}")
+  if(dashed)
+    message(SEND_ERROR "${tool} --help lists the dashed flag ${dashed}")
+  endif()
+endforeach()
+expect_cli(2 err "unknown flag --swf-in" ${SIM} --swf-in x)
+expect_cli(2 err "unknown flag --cluster_shards" ${BATCH} --cluster_shards 2)
 
 message(STATUS "cli contract checks done")

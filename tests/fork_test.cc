@@ -5,9 +5,10 @@
 //    as RunExperiment from t=0 — and, for quantum-passive policies, the
 //    same final counter/gauge/histogram snapshot, because the prefix
 //    registry is restored rather than recomputed.
-//  * Sweep integration: fork-on vs fork-off (and serial vs parallel with
-//    fork on) sweeps produce identical CSV and per-cell recordings, and the
-//    machinery is non-vacuous (more forked cells than prefixes built).
+//  * Sweep integration: a forked sweep produces the same CSV and per-cell
+//    recordings as cold RunExperiment runs of its cells (and serial ==
+//    parallel), the machinery is non-vacuous (more forked cells than
+//    prefixes built), and a one-cell grid builds no prefix at all.
 //  * Eligibility: traces, early arrivals, empty workloads and IRIX
 //    (policy-owned per-tick randomness) all decline to fork.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/counters.h"
@@ -288,15 +290,31 @@ SweepGrid ForkGrid() {
   return grid;
 }
 
-SweepOptions CaptureAll(int jobs, bool fork, ForkStats* stats) {
+SweepOptions CaptureAll(int jobs, ForkStats* stats) {
   SweepOptions options;
   options.jobs = jobs;
   options.capture_counters = true;
   options.capture_events = true;
   options.capture_timeseries = true;
-  options.fork = fork;
   options.fork_stats = stats;
   return options;
+}
+
+// Every cell of `grid` run cold from t=0 by RunExperiment, with the same
+// private sinks a sweep cell gets: the reference a forked sweep must match.
+std::vector<SweepCellResult> ColdCells(const SweepGrid& grid) {
+  std::vector<SweepCellResult> cells;
+  for (const SweepCell& cell : ExpandGrid(grid)) {
+    CapturedRun run = RunCaptured(cell.config, /*forked=*/false);
+    SweepCellResult r;
+    r.cell = cell;
+    r.result = std::move(run.result);
+    r.counters = std::move(run.counters);
+    r.events_jsonl = std::move(run.events);
+    r.timeseries_csv = std::move(run.timeseries);
+    cells.push_back(std::move(r));
+  }
+  return cells;
 }
 
 std::string Csv(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group) {
@@ -319,10 +337,8 @@ void ExpectSameCells(const std::vector<SweepCellResult>& a,
 TEST(SweepForkTest, ForkedSweepMatchesColdSweepByteForByte) {
   ForkStats fork_stats;
   const std::vector<SweepCellResult> forked =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/true, &fork_stats));
-  ForkStats cold_stats;
-  const std::vector<SweepCellResult> cold =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/false, &cold_stats));
+      RunSweep(ForkGrid(), CaptureAll(1, &fork_stats));
+  const std::vector<SweepCellResult> cold = ColdCells(ForkGrid());
 
   ExpectSameCells(cold, forked);
   EXPECT_EQ(Csv(cold, 2), Csv(forked, 2));
@@ -334,20 +350,35 @@ TEST(SweepForkTest, ForkedSweepMatchesColdSweepByteForByte) {
   EXPECT_EQ(fork_stats.forked_cells, forked.size());
   EXPECT_EQ(fork_stats.cold_cells, 0u);
   EXPECT_GT(fork_stats.forked_cells, fork_stats.prefixes_built);
+}
 
-  // The escape hatch really ran cold.
-  EXPECT_EQ(cold_stats.forked_cells, 0u);
-  EXPECT_EQ(cold_stats.cold_cells, cold.size());
-  EXPECT_EQ(cold_stats.prefixes_built, 0u);
+// A one-cell group builds no prefix (a prefix run plus one fork costs more
+// than one cold run), so a one-cell sweep is exactly the cold run: even the
+// tick and event counters of a quantum-active policy match.
+TEST(SweepForkTest, OneCellGridRunsColdWithoutAPrefix) {
+  SweepGrid grid;
+  grid.loads = {0.6};
+  grid.policies = {PolicyKind::kEqualEfficiency};
+  ForkStats stats;
+  const std::vector<SweepCellResult> swept = RunSweep(grid, CaptureAll(1, &stats));
+  const std::vector<SweepCellResult> cold = ColdCells(grid);
+
+  EXPECT_EQ(stats.groups, 1u);
+  EXPECT_EQ(stats.prefixes_built, 0u);
+  EXPECT_EQ(stats.forked_cells, 0u);
+  EXPECT_EQ(stats.cold_cells, 1u);
+  ExpectSameCells(cold, swept);
+  ASSERT_EQ(swept.size(), 1u);
+  EXPECT_EQ(cold[0].counters.ToString(), swept[0].counters.ToString());
 }
 
 TEST(SweepForkTest, ParallelForkedSweepMatchesSerial) {
   ForkStats serial_stats;
   const std::vector<SweepCellResult> serial =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/true, &serial_stats));
+      RunSweep(ForkGrid(), CaptureAll(1, &serial_stats));
   ForkStats parallel_stats;
   const std::vector<SweepCellResult> parallel =
-      RunSweep(ForkGrid(), CaptureAll(4, /*fork=*/true, &parallel_stats));
+      RunSweep(ForkGrid(), CaptureAll(4, &parallel_stats));
 
   ExpectSameCells(serial, parallel);
   EXPECT_EQ(Csv(serial, 2), Csv(parallel, 2));
@@ -366,12 +397,9 @@ TEST(SweepForkTest, IrixCellsRunColdInsideAForkedSweep) {
   SweepGrid grid = ForkGrid();
   grid.policies = {PolicyKind::kIrix, PolicyKind::kPdpa};
   ForkStats stats;
-  const std::vector<SweepCellResult> results = RunSweep(grid, CaptureAll(1, true, &stats));
-  ForkStats cold_stats;
-  SweepOptions cold_options = CaptureAll(1, false, &cold_stats);
-  const std::vector<SweepCellResult> cold = RunSweep(grid, cold_options);
+  const std::vector<SweepCellResult> results = RunSweep(grid, CaptureAll(1, &stats));
 
-  ExpectSameCells(cold, results);
+  ExpectSameCells(ColdCells(grid), results);
   // 4 groups x 2 policies: the PDPA half forks, the IRIX half replays cold.
   EXPECT_EQ(stats.forked_cells, 4u);
   EXPECT_EQ(stats.cold_cells, 4u);

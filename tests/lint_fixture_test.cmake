@@ -12,7 +12,7 @@ endif()
 # Extra args after the expected output are appended to the command line.
 function(expect_lint fixture expected_exit expected_out)
   execute_process(
-    COMMAND ${LINT} --root ${FIXTURES} ${FIXTURES}/${fixture} --treat-as src
+    COMMAND ${LINT} --root ${FIXTURES} ${FIXTURES}/${fixture} --treat_as src
             --today 2026-01-01 ${ARGN}
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE stdout
@@ -78,7 +78,7 @@ src/cluster/merge_paths.cc:18: unordered-iter: range-for over an unordered conta
 ")
 
 # Tools own their streams' flushing policy: rule scoped to src/ only.
-expect_lint(stream_flush_violation.cc 0 "" --treat-as tools)
+expect_lint(stream_flush_violation.cc 0 "" --treat_as tools)
 
 expect_lint(clean_file.cc 0 "")
 
@@ -155,11 +155,11 @@ if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "bad --today")
   message(SEND_ERROR "bad --today: exit ${exit_code}, stderr: ${stderr}")
 endif()
 
-# --treat-as takes src or tools; any other scope is a usage error.
-execute_process(COMMAND ${LINT} --treat-as bench ${FIXTURES}/wall_clock_violation.cc
+# --treat_as takes src or tools; any other scope is a usage error.
+execute_process(COMMAND ${LINT} --treat_as bench ${FIXTURES}/wall_clock_violation.cc
                 RESULT_VARIABLE exit_code OUTPUT_QUIET ERROR_VARIABLE stderr)
-if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "bad --treat-as bench .want src.tools.")
-  message(SEND_ERROR "--treat-as bench: exit ${exit_code}, stderr: ${stderr}")
+if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "bad --treat_as bench .want src.tools.")
+  message(SEND_ERROR "--treat_as bench: exit ${exit_code}, stderr: ${stderr}")
 endif()
 
 execute_process(COMMAND ${LINT} ${FIXTURES}/does_not_exist.cc
@@ -168,13 +168,13 @@ if(NOT exit_code EQUAL 2 OR NOT stderr MATCHES "no such file")
   message(SEND_ERROR "missing input: exit ${exit_code}, stderr: ${stderr}")
 endif()
 
-execute_process(COMMAND ${LINT} --list-rules RESULT_VARIABLE exit_code
+execute_process(COMMAND ${LINT} --list_rules RESULT_VARIABLE exit_code
                 OUTPUT_VARIABLE stdout ERROR_QUIET)
 if(NOT exit_code EQUAL 0 OR NOT stdout MATCHES "wall-clock" OR NOT stdout MATCHES "unordered-iter"
    OR NOT stdout MATCHES "float-eq" OR NOT stdout MATCHES "direct-io"
    OR NOT stdout MATCHES "stream-flush" OR NOT stdout MATCHES "layer-cycle/layer-up"
    OR NOT stdout MATCHES "lock-order" OR NOT stdout MATCHES "ptr-taint")
-  message(SEND_ERROR "--list-rules: exit ${exit_code}\n${stdout}")
+  message(SEND_ERROR "--list_rules: exit ${exit_code}\n${stdout}")
 endif()
 # Exact rule count: adding or dropping a rule must update this oracle.
 # (Strip semicolons first — they would split the matches into list items.)
@@ -182,12 +182,12 @@ string(REPLACE ";" "," rules_no_semi "${stdout}")
 string(REGEX MATCHALL "[^\n]+\n" rule_lines "${rules_no_semi}")
 list(LENGTH rule_lines rule_count)
 if(NOT rule_count EQUAL 8)
-  message(SEND_ERROR "--list-rules: ${rule_count} rules listed, want 8\n${stdout}")
+  message(SEND_ERROR "--list_rules: ${rule_count} rules listed, want 8\n${stdout}")
 endif()
 
 # JSON report: well-shaped, counts waived vs unwaived.
 execute_process(
-  COMMAND ${LINT} --root ${FIXTURES} ${FIXTURES}/waived_file.cc --treat-as src
+  COMMAND ${LINT} --root ${FIXTURES} ${FIXTURES}/waived_file.cc --treat_as src
           --today 2026-01-01 --waivers ${FIXTURES}/fixture_waivers.txt --json -
   RESULT_VARIABLE exit_code OUTPUT_VARIABLE stdout ERROR_QUIET)
 if(NOT exit_code EQUAL 1

@@ -1,4 +1,4 @@
-// Fixture: every class of wall-clock rule hit (linted with --treat-as src).
+// Fixture: every class of wall-clock rule hit (linted with --treat_as src).
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

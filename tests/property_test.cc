@@ -5,6 +5,10 @@
 //  * Application progress conservation across tick sizes
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 #include "src/app/application.h"
 #include "src/common/rng.h"
 #include "src/core/pdpa_policy.h"
@@ -78,6 +82,13 @@ struct ConvergenceCase {
   int initial_free;
 };
 
+// gtest prints parameters into the test list (and so into ctest names);
+// without this it dumps the struct's raw bytes, padding included.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << "{" << AppClassName(c.app_class) << ", " << c.target_eff << ", " << c.initial_free
+      << "}";
+}
+
 class PdpaConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 
 TEST_P(PdpaConvergenceTest, SingleAppSettlesAtAcceptableAllocation) {
@@ -119,6 +130,14 @@ TEST_P(PdpaConvergenceTest, SingleAppSettlesAtAcceptableAllocation) {
   }
 }
 
+// "bt_t70_cpus60": class, target efficiency in percent, free CPUs.
+std::string ConvergenceCaseName(const ::testing::TestParamInfo<ConvergenceCase>& info) {
+  const std::string app = AppClassName(info.param.app_class);
+  return app.substr(0, app.find('.')) + "_t" +
+         std::to_string(std::lround(info.param.target_eff * 100)) + "_cpus" +
+         std::to_string(info.param.initial_free);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PdpaConvergenceTest,
     ::testing::Values(ConvergenceCase{AppClass::kBt, 0.7, 60},
@@ -128,7 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvergenceCase{AppClass::kHydro2d, 0.5, 60},
                       ConvergenceCase{AppClass::kApsi, 0.7, 60},
                       ConvergenceCase{AppClass::kSwim, 0.7, 12},
-                      ConvergenceCase{AppClass::kSwim, 0.7, 60}));
+                      ConvergenceCase{AppClass::kSwim, 0.7, 60}),
+    ConvergenceCaseName);
 
 // ---------------------------------------------------------------------------
 // RM safety under an adversarial policy that emits random plans: the RM

@@ -127,7 +127,7 @@ TEST(SweepEngineTest, ClusterSweepMatchesAcrossWorkersAndShards) {
   parallel.jobs = 4;
 
   const std::vector<SweepCellResult> a = RunSweep(grid, serial);
-  grid.cluster_shards = 2;  // sharded engine, parallel sweep workers
+  grid.shards = 2;  // sharded engine, parallel sweep workers
   const std::vector<SweepCellResult> b = RunSweep(grid, parallel);
   ASSERT_EQ(a.size(), b.size());
 

@@ -1,4 +1,4 @@
-// The rule catalog: ids, one-line summaries (--list-rules), rationale and
+// The rule catalog: ids, one-line summaries (--list_rules), rationale and
 // approved escape hatch (--explain). layer-cycle and layer-up are one
 // catalog row (one rule family, two finding ids).
 #include "tools/lint/lint.h"

@@ -74,7 +74,7 @@ enum class Scope { kSrc, kTools, kOther };
 
 struct RuleInfo {
   const char* id;        // catalog row; layer-cycle/layer-up share one row
-  const char* summary;   // one line, shown by --list-rules
+  const char* summary;   // one line, shown by --list_rules
   const char* rationale; // paragraph, shown by --explain
   const char* escape;    // the approved escape hatch, shown by --explain
 };

@@ -1,6 +1,6 @@
 // Waiver lifecycle: counted, expiring per-file suppressions
 // (lint_waivers.txt), plus the civil-calendar day arithmetic behind the
-// non-fatal --waiver-expiry-within warning (pure integers — the linter
+// non-fatal --waiver_expiry_within warning (pure integers — the linter
 // itself must pass its own wall-clock rule, so the only wall-clock read is
 // the fenced TodayYyyymmdd fallback).
 #include <cctype>

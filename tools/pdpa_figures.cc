@@ -139,7 +139,7 @@ void Fig05() {
                 result.utilization * 100.0);
   }
   std::printf("(Paraver trace of the PDPA run: pdpa_sim --workload w1 --load 1.0 --policy pdpa "
-              "--prv-out FILE)\n");
+              "--prv_out FILE)\n");
 }
 
 // Table 2: kernel-thread migrations, average burst length and bursts per

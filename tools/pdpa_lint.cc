@@ -53,11 +53,11 @@ flags:
                     if present; layer rules are skipped without one)
   --json FILE       also write a JSON report ("-" for stdout)
   --today YYYY-MM-DD  waiver-expiry reference date (default: today)
-  --treat-as DIR    classify explicit paths as src|tools for rule
+  --treat_as DIR    classify explicit paths as src|tools for rule
                     scoping (fixture testing)
-  --list-rules      print the rule catalog and exit
+  --list_rules      print the rule catalog and exit
   --explain RULE    print one rule's rationale and escape hatch, then exit
-  --waiver-expiry-within N
+  --waiver_expiry_within N
                     report-only mode: warn (exit 0) for waivers expiring
                     within N days of --today, instead of linting
   --help            this text
@@ -146,7 +146,7 @@ void WriteJsonReport(const std::vector<Finding>& findings, std::size_t files_sca
       << ", \"waived\": " << findings.size() - unwaived << "}\n}\n";
 }
 
-// --waiver-expiry-within N: report-only advisory (always exit 0 unless the
+// --waiver_expiry_within N: report-only advisory (always exit 0 unless the
 // waiver file itself is broken). Separate from linting so lint_repo can
 // pin --today for date-independence while CI still surfaces approaching
 // expirations as a non-fatal, distinct message.
@@ -183,7 +183,7 @@ int RunWaiverExpiry(const std::string& waiver_path, int today, int within_days) 
 int RunExplain(const std::string& rule_id) {
   const RuleInfo* rule = lint::FindRuleInfo(rule_id);
   if (rule == nullptr) {
-    std::fprintf(stderr, "pdpa_lint: unknown rule '%s' (see --list-rules)\n", rule_id.c_str());
+    std::fprintf(stderr, "pdpa_lint: unknown rule '%s' (see --list_rules)\n", rule_id.c_str());
     return 2;
   }
   std::printf("rule: %s\n\nsummary:\n  %s\n\nrationale:\n  %s\n\nescape hatch:\n  %s\n",
@@ -197,7 +197,7 @@ int Run(int argc, char** argv) {
     std::printf("%s", kUsage);
     return 0;
   }
-  if (flags.GetBool("list-rules", false)) {
+  if (flags.GetBool("list_rules", false)) {
     for (const RuleInfo& rule : lint::RuleCatalog()) {
       std::printf("%-21s %s\n", rule.id, rule.summary);
     }
@@ -212,8 +212,8 @@ int Run(int argc, char** argv) {
   const std::string layers_flag = flags.GetString("layers", "");
   const std::string json_path = flags.GetString("json", "");
   const std::string today_text = flags.GetString("today", "");
-  const std::string treat_as = flags.GetString("treat-as", "");
-  const int expiry_within = flags.GetInt("waiver-expiry-within", -1);
+  const std::string treat_as = flags.GetString("treat_as", "");
+  const int expiry_within = flags.GetInt("waiver_expiry_within", -1);
   std::vector<std::string> inputs = flags.positional();
   for (const std::string& unknown : flags.UnconsumedFlags()) {
     std::fprintf(stderr, "pdpa_lint: unknown flag --%s (see --help)\n", unknown.c_str());
@@ -240,7 +240,7 @@ int Run(int argc, char** argv) {
     } else if (treat_as == "tools") {
       forced_scope = Scope::kTools;
     } else {
-      std::fprintf(stderr, "pdpa_lint: bad --treat-as %s (want src|tools)\n",
+      std::fprintf(stderr, "pdpa_lint: bad --treat_as %s (want src|tools)\n",
                    treat_as.c_str());
       return 2;
     }

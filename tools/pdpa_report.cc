@@ -5,7 +5,7 @@
 // Examples:
 //   pdpa_sim --workload w1 --events_out ev.jsonl
 //   pdpa_report ev.jsonl
-//   pdpa_report ev.jsonl --jobs 3,7 --no-timeline
+//   pdpa_report ev.jsonl --jobs 3,7 --no_timeline
 //
 // The report body goes through a BufWriter over stdout (one write per
 // ~64 KiB instead of one printf per line); number fields are formatted
@@ -34,7 +34,7 @@ timelines plus event and PDPA-transition summaries.
 
 flags:
   --jobs N,M,...   only show the timelines of these job ids
-  --no-timeline    summaries only
+  --no_timeline    summaries only
   --help           this text
 )";
 
@@ -94,7 +94,7 @@ int Run(int argc, char** argv) {
     return 0;
   }
   const std::string jobs_filter_text = flags.GetString("jobs", "");
-  const bool no_timeline = flags.GetBool("no-timeline", false);
+  const bool no_timeline = flags.GetBool("no_timeline", false);
   const std::vector<std::string> inputs = flags.positional();
   for (const std::string& unknown : flags.UnconsumedFlags()) {
     std::fprintf(stderr, "unknown flag --%s (see --help)\n", unknown.c_str());

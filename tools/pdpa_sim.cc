@@ -1,31 +1,26 @@
 // pdpa_sim — command-line driver for the NANOS/PDPA simulator.
 //
 // Run any workload under any policy and inspect the paper's metrics, or
-// replay/archive SWF traces and dump Paraver/ASCII execution views.
+// replay/archive SWF traces and dump Paraver/ASCII execution views. A run
+// is a one-cell sweep: the flags shared with pdpa_batch and every output
+// file go through tools/sweep_cli.h.
 //
 // Examples:
 //   pdpa_sim --workload w3 --load 1.0 --policy pdpa
 //   pdpa_sim --workload w4 --policy equip --untuned --ml 4
-//   pdpa_sim --swf-in trace.swf --policy pdpa --view --prv-out run.prv
-//   pdpa_sim --workload w2 --load 0.8 --swf-out w2.swf --dry-run
-#include <algorithm>
+//   pdpa_sim --swf_in trace.swf --policy pdpa --view --prv_out run.prv
+//   pdpa_sim --workload w2 --load 0.8 --swf_out w2.swf --dry_run
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/flags.h"
-#include "src/common/logging.h"
-#include "src/common/strings.h"
-#include "src/obs/counters.h"
-#include "src/obs/event_log.h"
-#include "src/obs/prof.h"
-#include "src/obs/timeseries.h"
-#include "src/obs/trace_export.h"
 #include "src/qs/swf.h"
 #include "src/trace/paraver_writer.h"
-#include "src/workload/cluster_cell.h"
-#include "src/workload/experiment.h"
+#include "src/workload/sweep.h"
+#include "tools/sweep_cli.h"
 
 namespace pdpa {
 namespace {
@@ -34,19 +29,20 @@ constexpr const char* kUsage = R"(usage: pdpa_sim [flags]
 
 workload selection (one of):
   --workload w1|w2|w3|w4   generated workload (default w1)
-  --swf-in FILE            replay an SWF trace instead
+  --swf_in FILE            replay an SWF trace instead
 
 generator flags:
-  --load F                 target machine load fraction (default 1.0)
+  --load F                 target machine load fraction, > 0 (default 1.0)
   --seed N                 RNG seed (default 42)
   --untuned                override every request to 30 CPUs
-  --swf-out FILE           archive the generated workload as SWF
-  --dry-run                generate/archive only, do not simulate
+  --swf_out FILE           archive the generated workload as SWF
+  --dry_run                generate/archive only, do not simulate
 
 scheduler flags:
   --policy irix|equip|equal_eff|pdpa|dynamic   (default pdpa)
-  --queue-order fcfs|sjf   job selection within the queue (default fcfs)
-  --ml N                   fixed ML (baselines) / default ML (PDPA), default 4
+  --queue_order fcfs|sjf   job selection within the queue (default fcfs)
+  --ml N                   fixed ML (baselines) / default ML (PDPA), >= 1,
+                           default 4
   --cpus N                 usable processors (default 60)
   --nodes N                cluster of N SMP nodes instead of one machine
                            (default 1; the machine is then nodes x
@@ -56,24 +52,21 @@ scheduler flags:
                            least-loaded (default rr)
   --shards N               worker event loops for the cluster engine
                            (default 1; outputs are shard-count invariant)
-  --no_arrival_batch       disable the cluster engine's epoch-batched
-                           arrival handling (one barrier per arrival, the
-                           reference protocol; outputs differ only in the
-                           cluster.*_batch* counters). Requires --nodes > 1
-  --target-eff F           PDPA target efficiency (default 0.7)
-  --high-eff F             PDPA high efficiency (default 0.9)
-  --step N                 PDPA allocation step (default 4)
-  --no-relative-speedup    disable PDPA's RelativeSpeedup test (ablation)
-  --no-coordination        disable PDPA's coordinated ML rule (ablation)
-  --dynamic-target         load-adaptive target efficiency
+  --target_eff F           PDPA target efficiency, in (0, high_eff]
+                           (default 0.7)
+  --high_eff F             PDPA high efficiency, <= 1.5 (default 0.9)
+  --step N                 PDPA allocation step, >= 1 (default 4)
+  --no_relative_speedup    disable PDPA's RelativeSpeedup test (ablation)
+  --no_coordination        disable PDPA's coordinated ML rule (ablation)
+  --dynamic_target         load-adaptive target efficiency
   --exact_ticks            fire the progress tick at every grid point
                            (disables event-horizon tick elision; A/B check)
 
 output flags:
   --view                   print the ASCII execution view (Fig. 5 style)
-  --prv-out FILE           write a Paraver trace of the execution
-  --pcf-out FILE           write the companion Paraver config (names/colors)
-  --ml-timeline            print the multiprogramming level over time
+  --prv_out FILE           write a Paraver trace of the execution
+  --pcf_out FILE           write the companion Paraver config (names/colors)
+  --ml_timeline            print the multiprogramming level over time
   --help                   this text
 
 flight recorder (observability):
@@ -88,6 +81,7 @@ flight recorder (observability):
                            (span hit counts are deterministic; ns are not)
   --prof_out FILE          write the profiler spans as JSONL
   --counters               print the counters-registry snapshot after the run
+  --counters_out FILE      write the counters-registry snapshot to FILE
   --log_level LEVEL        debug|info|warning|error|none (default warning);
                            log lines are stamped with simulation time
 )";
@@ -98,89 +92,60 @@ int Run(int argc, char** argv) {
     std::printf("%s", kUsage);
     return 0;
   }
-
-  const std::string log_level = flags.GetString("log_level", "warning");
-  LogLevel level = LogLevel::kWarning;
-  if (!ParseLogLevel(log_level, &level)) {
-    std::fprintf(stderr, "unknown --log_level %s\n", log_level.c_str());
+  SweepCli cli;
+  cli.options.jobs = 1;
+  if (!ParseSharedFlags(&flags, &cli)) {
     return 2;
   }
-  SetLogLevel(level);
+  SweepGrid& grid = cli.grid;
+  ExperimentConfig& config = grid.base;
 
-  ExperimentConfig config;
   const std::string workload = flags.GetString("workload", "w1");
-  if (workload == "w1") {
-    config.workload = WorkloadId::kW1;
-  } else if (workload == "w2") {
-    config.workload = WorkloadId::kW2;
-  } else if (workload == "w3") {
-    config.workload = WorkloadId::kW3;
-  } else if (workload == "w4") {
-    config.workload = WorkloadId::kW4;
-  } else {
+  if (!ParseWorkloadId(workload, &grid.workloads.front())) {
     std::fprintf(stderr, "unknown --workload %s\n", workload.c_str());
     return 2;
   }
-  config.load = flags.GetDouble("load", 1.0);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  config.untuned = flags.GetBool("untuned", false);
-  config.rm.exact_ticks = flags.GetBool("exact_ticks", false);
-
+  grid.loads = {flags.GetDouble("load", 1.0)};
   const std::string policy = flags.GetString("policy", "pdpa");
-  if (policy == "irix") {
-    config.policy = PolicyKind::kIrix;
-  } else if (policy == "equip") {
-    config.policy = PolicyKind::kEquipartition;
-  } else if (policy == "equal_eff") {
-    config.policy = PolicyKind::kEqualEfficiency;
-  } else if (policy == "pdpa") {
-    config.policy = PolicyKind::kPdpa;
-  } else if (policy == "dynamic") {
-    config.policy = PolicyKind::kMcCannDynamic;
-  } else {
+  if (!ParsePolicyKind(policy, &grid.policies.front())) {
     std::fprintf(stderr, "unknown --policy %s\n", policy.c_str());
     return 2;
   }
-  const std::string queue_order = flags.GetString("queue-order", "fcfs");
+  const std::string queue_order = flags.GetString("queue_order", "fcfs");
   if (queue_order == "sjf") {
     config.queue_order = QueueOrder::kShortestDemandFirst;
   } else if (queue_order != "fcfs") {
-    std::fprintf(stderr, "unknown --queue-order %s\n", queue_order.c_str());
+    std::fprintf(stderr, "unknown --queue_order %s\n", queue_order.c_str());
     return 2;
   }
   config.multiprogramming_level = flags.GetInt("ml", 4);
   config.num_cpus = flags.GetInt("cpus", 60);
-  const int nodes = flags.GetInt("nodes", 1);
-  const int cpus_per_node = flags.GetInt("cpus_per_node", 60);
-  const int shards = flags.GetInt("shards", 1);
-  const std::string placement_name = flags.GetString("placement", "rr");
-  PlacementPolicy placement = PlacementPolicy::kRoundRobin;
-  if (!ParsePlacementPolicy(placement_name, &placement)) {
-    std::fprintf(stderr, "unknown --placement %s\n", placement_name.c_str());
-    return 2;
-  }
-  if (nodes < 1 || cpus_per_node < 1 || shards < 1) {
-    std::fprintf(stderr, "--nodes, --cpus_per_node and --shards must be >= 1\n");
-    return 2;
-  }
-  const bool no_arrival_batch = flags.GetBool("no_arrival_batch", false);
-  if (no_arrival_batch && nodes <= 1) {
-    std::fprintf(stderr, "--no_arrival_batch is cluster-only (requires --nodes > 1)\n");
-    return 2;
-  }
-  if (nodes > 1) {
-    // Workload generation (and SWF archiving) must see the whole cluster's
-    // capacity so arrival rates scale with it.
-    config.num_cpus = nodes * cpus_per_node;
-  }
-  config.pdpa.target_eff = flags.GetDouble("target-eff", 0.7);
-  config.pdpa.high_eff = flags.GetDouble("high-eff", 0.9);
+  config.pdpa.target_eff = flags.GetDouble("target_eff", 0.7);
+  config.pdpa.high_eff = flags.GetDouble("high_eff", 0.9);
   config.pdpa.step = flags.GetInt("step", 4);
-  config.pdpa.use_relative_speedup = !flags.GetBool("no-relative-speedup", false);
-  config.pdpa.dynamic_target = flags.GetBool("dynamic-target", false);
-  config.pdpa_coordinated_ml = !flags.GetBool("no-coordination", false);
+  config.pdpa.use_relative_speedup = !flags.GetBool("no_relative_speedup", false);
+  config.pdpa.dynamic_target = flags.GetBool("dynamic_target", false);
+  config.pdpa_coordinated_ml = !flags.GetBool("no_coordination", false);
+  if (!RequirePositive("load", grid.loads.front()) ||
+      !RequireAtLeast("ml", config.multiprogramming_level, 1) ||
+      !RequireAtLeast("cpus", config.num_cpus, 1) || !RequireAtLeast("step", config.pdpa.step, 1)) {
+    return 2;
+  }
+  if (!(config.pdpa.high_eff <= 1.5)) {
+    std::fprintf(stderr, "--high_eff must be <= 1.5 (got %g)\n", config.pdpa.high_eff);
+    return 2;
+  }
+  if (!(config.pdpa.target_eff > 0.0 && config.pdpa.target_eff <= config.pdpa.high_eff)) {
+    std::fprintf(stderr, "--target_eff must be > 0 and <= --high_eff %g (got %g)\n",
+                 config.pdpa.high_eff, config.pdpa.target_eff);
+    return 2;
+  }
+  if (grid.placements.size() != 1) {
+    std::fprintf(stderr, "--placement takes one policy in pdpa_sim (see pdpa_batch)\n");
+    return 2;
+  }
 
-  const std::string swf_in = flags.GetString("swf-in", "");
+  const std::string swf_in = flags.GetString("swf_in", "");
   if (!swf_in.empty()) {
     std::ifstream in(swf_in);
     if (!in) {
@@ -195,176 +160,50 @@ int Run(int argc, char** argv) {
   }
 
   const bool want_view = flags.GetBool("view", false);
-  const std::string prv_out = flags.GetString("prv-out", "");
-  const std::string pcf_out = flags.GetString("pcf-out", "");
-  const bool want_ml_timeline = flags.GetBool("ml-timeline", false);
+  const std::string prv_out = flags.GetString("prv_out", "");
+  const std::string pcf_out = flags.GetString("pcf_out", "");
+  const bool want_ml_timeline = flags.GetBool("ml_timeline", false);
   config.record_trace = want_view || !prv_out.empty();
-
-  const std::string swf_out = flags.GetString("swf-out", "");
-  const bool dry_run = flags.GetBool("dry-run", false);
-
-  const std::string events_out = flags.GetString("events_out", "");
-  const std::string timeseries_out = flags.GetString("timeseries_out", "");
-  const std::string trace_out = flags.GetString("trace_out", "");
-  const bool want_prof = flags.GetBool("prof", false);
-  const std::string prof_out = flags.GetString("prof_out", "");
-  const bool want_counters = flags.GetBool("counters", false);
-
-  for (const std::string& unknown : flags.UnconsumedFlags()) {
-    std::fprintf(stderr, "unknown flag --%s (see --help)\n", unknown.c_str());
+  const std::string swf_out = flags.GetString("swf_out", "");
+  const bool dry_run = flags.GetBool("dry_run", false);
+  if (!CheckFlags(flags)) {
     return 2;
   }
-  if (flags.had_parse_error()) {
-    std::fprintf(stderr, "malformed flag value (see --help)\n");
+  // Trace recording and queue order are wired through a single machine's
+  // RM; a cluster cell runs one RM per node.
+  if (grid.nodes > 1 && (config.record_trace || !pcf_out.empty() || want_ml_timeline ||
+                         config.queue_order != QueueOrder::kFcfs)) {
+    std::fprintf(stderr,
+                 "--view/--prv_out/--pcf_out/--ml_timeline/--queue_order sjf are single-node "
+                 "only (incompatible with --nodes)\n");
     return 2;
   }
 
   if (!swf_out.empty() || dry_run) {
-    std::vector<JobSpec> jobs = config.jobs_override;
-    if (jobs.empty()) {
-      jobs = BuildWorkload(config.workload, config.load, config.seed, config.untuned,
-                           config.num_cpus);
-    }
+    const std::shared_ptr<const std::vector<JobSpec>> jobs =
+        BuildJobs(ExpandGrid(grid).front().config);
     if (!swf_out.empty()) {
       std::ofstream out(swf_out);
-      WriteSwf(jobs, out, WorkloadName(config.workload));
-      std::printf("wrote %zu jobs to %s\n", jobs.size(), swf_out.c_str());
+      WriteSwf(*jobs, out, WorkloadName(grid.workloads.front()));
+      std::printf("wrote %zu jobs to %s\n", jobs->size(), swf_out.c_str());
     }
     if (dry_run) {
       return 0;
     }
-    config.jobs_override = jobs;
   }
 
-  if (nodes > 1) {
-    // Cluster mode: per-node simulations via the sharded engine
-    // (src/cluster). Trace/queue-order features are wired through a single
-    // machine's RM and stay single-node only; --prof profiles the
-    // controller thread (plus the node spans when --shards 1).
-    if (config.record_trace || !pcf_out.empty() || want_ml_timeline || !trace_out.empty() ||
-        config.queue_order != QueueOrder::kFcfs) {
-      std::fprintf(stderr,
-                   "--view/--prv-out/--pcf-out/--ml-timeline/--trace_out/"
-                   "--queue-order sjf are single-node only (incompatible with --nodes)\n");
-      return 2;
-    }
-    Profiler profiler;
-    if (want_prof || !prof_out.empty()) {
-      config.profiler = &profiler;
-    }
-    ClusterCellConfig cluster;
-    cluster.nodes = nodes;
-    cluster.cpus_per_node = cpus_per_node;
-    cluster.placement = placement;
-    cluster.shards = shards;
-    cluster.arrival_batch = !no_arrival_batch;
-    cluster.capture_counters = want_counters;
-    cluster.capture_events = !events_out.empty();
-    cluster.capture_timeseries = !timeseries_out.empty();
-    const ClusterCellOutput out = RunClusterCell(config, cluster, BuildJobs(config));
-    const ExperimentResult& result = out.result;
-    std::printf("policy %s, %d jobs, makespan %.1f s, peak node ML %d%s\n",
-                result.policy_name.c_str(), result.metrics.jobs, result.metrics.makespan_s,
-                result.max_ml, result.completed ? "" : "  [CUTOFF HIT]");
-    std::printf("cluster: %d nodes x %d cpus, %d shard(s)\n", nodes, cpus_per_node, shards);
-    std::printf("%-10s %6s %12s %12s %10s %10s\n", "class", "jobs", "response(s)", "exec(s)",
-                "wait(s)", "avg cpus");
-    for (const auto& [app_class, metrics] : result.metrics.per_class) {
-      std::printf("%-10s %6d %12.1f %12.1f %10.1f %10.1f\n", AppClassName(app_class),
-                  metrics.count, metrics.avg_response_s, metrics.avg_exec_s,
-                  metrics.avg_wait_s, metrics.avg_alloc);
-    }
-    if (!events_out.empty()) {
-      std::ofstream out_stream(events_out);
-      if (!out_stream) {
-        std::fprintf(stderr, "cannot open %s\n", events_out.c_str());
-        return 2;
-      }
-      out_stream << out.events_jsonl;
-      const long long lines =
-          static_cast<long long>(std::count(out.events_jsonl.begin(), out.events_jsonl.end(), '\n'));
-      std::printf("event log: %lld events written to %s\n", lines, events_out.c_str());
-    }
-    if (!timeseries_out.empty()) {
-      std::ofstream out_stream(timeseries_out);
-      if (!out_stream) {
-        std::fprintf(stderr, "cannot open %s\n", timeseries_out.c_str());
-        return 2;
-      }
-      out_stream << out.timeseries_csv;
-      std::printf("time-series: merged cluster CSV written to %s\n", timeseries_out.c_str());
-    }
-    if (want_prof) {
-      std::string table;
-      AppendProfTable(profiler, &table);
-      std::printf("\nhost-time profile (hits are deterministic; times are not):\n%s",
-                  table.c_str());
-    }
-    if (!prof_out.empty()) {
-      std::ofstream prof_stream(prof_out);
-      if (!prof_stream) {
-        std::fprintf(stderr, "cannot open %s\n", prof_out.c_str());
-        return 2;
-      }
-      std::string jsonl;
-      AppendProfJsonl(profiler, "pdpa_sim", &jsonl);
-      prof_stream << jsonl;
-      std::printf("profile: %lld span hits written to %s\n", profiler.TotalHits(),
-                  prof_out.c_str());
-    }
-    if (want_counters) {
-      std::printf("\ncounters:\n%s", out.counters.ToString().c_str());
-    }
-    return 0;
+  if (!PreflightOutputs(cli.outputs)) {
+    return 2;
   }
-
-  std::ofstream events_stream;
-  if (!events_out.empty()) {
-    events_stream.open(events_out);
-    if (!events_stream) {
-      std::fprintf(stderr, "cannot open %s\n", events_out.c_str());
-      return 2;
-    }
-  }
-  std::ofstream trace_stream;
-  if (!trace_out.empty()) {
-    trace_stream.open(trace_out);
-    if (!trace_stream) {
-      std::fprintf(stderr, "cannot open %s\n", trace_out.c_str());
-      return 2;
-    }
-  }
-  // The trace exporter replays the event log, so --trace_out captures the
-  // records in memory; --events_out then writes that same byte stream (the
-  // recording is identical either way).
-  std::ostringstream events_buffer;
-  std::ostream* events_sink = nullptr;
-  if (!trace_out.empty()) {
-    events_sink = &events_buffer;
-  } else if (!events_out.empty()) {
-    events_sink = &events_stream;
-  }
-  EventLog events(events_sink);
-  if (events.enabled()) {
-    config.event_log = &events;
-  }
-  TimeSeriesSampler timeseries;
-  if (!timeseries_out.empty()) {
-    config.timeseries = &timeseries;
-  }
-  Profiler profiler;
-  if (want_prof || !prof_out.empty()) {
-    config.profiler = &profiler;
-  }
-  // A run-local registry keeps the --counters dump scoped to this run (and
-  // exercises the same per-run path the sweep engine uses).
-  Registry registry;
-  config.registry = &registry;
-
-  const ExperimentResult result = RunExperiment(config);
-  std::printf("policy %s, %d jobs, makespan %.1f s, peak ML %d%s\n",
-              result.policy_name.c_str(), result.metrics.jobs, result.metrics.makespan_s,
+  const std::vector<SweepCellResult> results = RunCliSweep(cli);
+  const ExperimentResult& result = results.front().result;
+  std::printf("policy %s, %d jobs, makespan %.1f s, peak %sML %d%s\n", result.policy_name.c_str(),
+              result.metrics.jobs, result.metrics.makespan_s, grid.nodes > 1 ? "node " : "",
               result.max_ml, result.completed ? "" : "  [CUTOFF HIT]");
+  if (grid.nodes > 1) {
+    std::printf("cluster: %d nodes x %d cpus, %d shard(s)\n", grid.nodes, grid.cpus_per_node,
+                grid.shards);
+  }
   if (config.record_trace) {
     std::printf("migrations %lld, avg burst %.0f ms, utilization %.0f%%\n",
                 result.trace_stats.migrations, result.trace_stats.avg_burst_ms,
@@ -396,61 +235,7 @@ int Run(int argc, char** argv) {
     WriteParaverConfig(result.metrics.jobs, out);
     std::printf("Paraver config written to %s\n", pcf_out.c_str());
   }
-  if (events.enabled()) {
-    events.Flush();  // The log buffers; push bytes out before reporting.
-    if (!trace_out.empty()) {
-      const std::string captured = events_buffer.str();
-      if (!events_out.empty()) {
-        events_stream << captured;
-      }
-      TraceEventWriter writer(&trace_stream);
-      const std::string process_name =
-          StrFormat("%s_%.2f_%s", workload.c_str(), config.load, result.policy_name.c_str());
-      const long long bad_lines = ExportSimTrace(captured, 1, process_name, &writer);
-      writer.Finish();
-      if (bad_lines > 0) {
-        std::fprintf(stderr, "trace export skipped %lld malformed event lines\n", bad_lines);
-      }
-      std::printf("trace: %lld trace events written to %s\n", writer.events_written(),
-                  trace_out.c_str());
-    }
-    if (!events_out.empty()) {
-      std::printf("event log: %lld events written to %s\n", events.lines_written(),
-                  events_out.c_str());
-    }
-  }
-  if (!timeseries_out.empty()) {
-    std::ofstream out(timeseries_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", timeseries_out.c_str());
-      return 2;
-    }
-    timeseries.WriteCsv(out);
-    std::printf("time-series: %zu app windows, %zu machine samples written to %s\n",
-                timeseries.apps().size(), timeseries.machine().size(), timeseries_out.c_str());
-  }
-  if (want_prof) {
-    std::string table;
-    AppendProfTable(profiler, &table);
-    std::printf("\nhost-time profile (hits are deterministic; times are not):\n%s",
-                table.c_str());
-  }
-  if (!prof_out.empty()) {
-    std::ofstream out(prof_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", prof_out.c_str());
-      return 2;
-    }
-    std::string jsonl;
-    AppendProfJsonl(profiler, "pdpa_sim", &jsonl);
-    out << jsonl;
-    std::printf("profile: %lld span hits written to %s\n", profiler.TotalHits(),
-                prof_out.c_str());
-  }
-  if (want_counters) {
-    std::printf("\ncounters:\n%s", registry.Snapshot().ToString().c_str());
-  }
-  return 0;
+  return WriteSweepOutputs(cli.outputs, "pdpa_sim", results, stdout) ? 0 : 2;
 }
 
 }  // namespace
