@@ -1,5 +1,8 @@
 #include "src/obs/timeseries.h"
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <ostream>
 
 #include "src/common/bufwriter.h"
@@ -14,19 +17,53 @@ constexpr char kCsvHeader[] =
     "kind,t_s,t_end_s,job,alloc,speedup,efficiency,state,free_cpus,running,queued,"
     "utilization\n";
 
-void AppendAppRow(std::string* row, const TimeSeriesSampler::AppPoint& p) {
+// An app row's speedup and efficiency repeat the job's latest measurement
+// in every window until its next report, and their %.10g formatting is most
+// of a row's cost. This keeps the formatted pair per recent job and reuses it
+// while both values are bitwise unchanged, so -0.0 and NaN print exactly as
+// the formatter prints them.
+class MeasurementText {
+ public:
+  // Appends ",<speedup>,<efficiency>" of `p`.
+  void Append(std::string* row, const TimeSeriesSampler::AppPoint& p) {
+    const auto speedup_bits = std::bit_cast<std::uint64_t>(p.speedup);
+    const auto efficiency_bits = std::bit_cast<std::uint64_t>(p.efficiency);
+    // Direct-mapped by JobId: a node runs only a few jobs at once.
+    Entry& entry = entries_[static_cast<std::size_t>(p.job) % entries_.size()];
+    if (!entry.filled || entry.speedup_bits != speedup_bits ||
+        entry.efficiency_bits != efficiency_bits) {
+      entry.filled = true;
+      entry.speedup_bits = speedup_bits;
+      entry.efficiency_bits = efficiency_bits;
+      entry.text.assign(1, ',');
+      AppendGeneral(&entry.text, p.speedup, 10);
+      entry.text.push_back(',');
+      AppendGeneral(&entry.text, p.efficiency, 10);
+    }
+    row->append(entry.text);
+  }
+
+ private:
+  struct Entry {
+    bool filled = false;
+    std::uint64_t speedup_bits = 0;
+    std::uint64_t efficiency_bits = 0;
+    std::string text;
+  };
+  std::array<Entry, 64> entries_;
+};
+
+void AppendAppRow(std::string* row, const TimeSeriesSampler::AppPoint& p,
+                  MeasurementText* measurements) {
   row->append("app,");
-  AppendFixed(row, TimeToSeconds(p.t_start), 6);
+  AppendMicrosAsSeconds(row, p.t_start);
   row->push_back(',');
-  AppendFixed(row, TimeToSeconds(p.t_end), 6);
+  AppendMicrosAsSeconds(row, p.t_end);
   row->push_back(',');
   AppendInt(row, p.job);
   row->push_back(',');
   AppendGeneral(row, p.alloc, 10);
-  row->push_back(',');
-  AppendGeneral(row, p.speedup, 10);
-  row->push_back(',');
-  AppendGeneral(row, p.efficiency, 10);
+  measurements->Append(row, p);
   row->push_back(',');
   row->append(p.state);
   row->append(",,,,\n");
@@ -34,7 +71,7 @@ void AppendAppRow(std::string* row, const TimeSeriesSampler::AppPoint& p) {
 
 void AppendMachineRow(std::string* row, const TimeSeriesSampler::MachinePoint& p) {
   row->append("machine,");
-  AppendFixed(row, TimeToSeconds(p.t), 6);
+  AppendMicrosAsSeconds(row, p.t);
   row->append(",,,,,,,");
   AppendInt(row, p.free_cpus);
   row->push_back(',');
@@ -64,6 +101,7 @@ void TimeSeriesSampler::WriteCsv(std::ostream& out) const {
   // at the same instant).
   std::string row;
   row.reserve(160);
+  MeasurementText measurements;
   std::size_t a = 0;
   std::size_t m = 0;
   while (a < apps_.size() || m < machine_.size()) {
@@ -71,7 +109,7 @@ void TimeSeriesSampler::WriteCsv(std::ostream& out) const {
         m >= machine_.size() || (a < apps_.size() && apps_[a].t_end <= machine_[m].t);
     row.clear();
     if (take_app) {
-      AppendAppRow(&row, apps_[a++]);
+      AppendAppRow(&row, apps_[a++], &measurements);
     } else {
       AppendMachineRow(&row, machine_[m++]);
     }
@@ -108,6 +146,7 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
   };
   std::string row;
   row.reserve(160);
+  MeasurementText measurements;
   while (true) {
     std::size_t best = nodes.size();
     SimTime best_t = 0;
@@ -133,7 +172,7 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
     row.push_back(',');
     Cursor& c = cursors[best];
     if (best_app) {
-      AppendAppRow(&row, nodes[best]->apps()[c.a++]);
+      AppendAppRow(&row, nodes[best]->apps()[c.a++], &measurements);
     } else {
       AppendMachineRow(&row, nodes[best]->machine()[c.m++]);
     }

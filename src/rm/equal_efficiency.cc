@@ -36,6 +36,7 @@ AllocationPlan EqualEfficiency::OnReport(const PolicyContext& ctx, const PerfRep
   if (static_cast<int>(model.samples.size()) > params_.history) {
     model.samples.erase(model.samples.begin());
   }
+  model.eff.clear();
   // Reallocating on every report is what makes Equal_efficiency "too
   // sensitive to small changes in the efficiency measurements" (Sec. 5.1).
   return Reallocate(ctx);
@@ -52,12 +53,16 @@ double EqualEfficiency::ExtrapolatedSpeedup(JobId job, double p) const {
     return 0.0;
   }
   const auto it = models_.find(job);
-  if (it == models_.end() || it->second.samples.empty()) {
+  return it == models_.end() ? p : FitOf(it->second).At(p);
+}
+
+EqualEfficiency::Fit EqualEfficiency::FitOf(const JobModel& model) const {
+  const std::vector<Sample>& samples = model.samples;
+  if (samples.empty()) {
     // No knowledge: optimistically assume linear speedup (this is what makes
     // the policy hand 30 processors to a brand-new job).
-    return p;
+    return Fit{};
   }
-  const std::vector<Sample>& samples = it->second.samples;
   const Sample& latest = samples.back();
   double alpha = params_.default_alpha;
   // Fit the exponent through the two most recent samples at distinct
@@ -72,11 +77,22 @@ double EqualEfficiency::ExtrapolatedSpeedup(JobId job, double p) const {
       break;
     }
   }
-  const double base_p = static_cast<double>(latest.procs);
-  return latest.speedup * std::pow(p / base_p, alpha);
+  return Fit{false, latest.speedup, static_cast<double>(latest.procs), alpha};
 }
 
-AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) const {
+double EqualEfficiency::EfficiencyAt(JobModel& model, int p) const {
+  const std::size_t k = static_cast<std::size_t>(p - 2);
+  if (model.eff.empty()) {
+    model.fit = FitOf(model);
+  }
+  while (model.eff.size() <= k) {
+    const int q = static_cast<int>(model.eff.size()) + 2;
+    model.eff.push_back(model.fit.At(q) / q);
+  }
+  return model.eff[k];
+}
+
+AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) {
   AllocationPlan plan;
   if (ctx.jobs.empty()) {
     return plan;
@@ -84,38 +100,46 @@ AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) const {
   reallocations_->Increment();
   // Everyone gets one processor (run-to-completion floor), then processors
   // go one at a time to the job whose *extrapolated* efficiency at its next
-  // allocation is highest.
-  int remaining = ctx.total_cpus;
-  for (const PolicyJobInfo& job : ctx.jobs) {
-    plan[job.id] = 1;
-    --remaining;
-  }
-  if (remaining < 0) {
-    // More jobs than processors cannot happen with the paper's MLs.
-    return plan;
+  // allocation is highest: the earliest job in ctx.jobs order with a
+  // strictly larger efficiency wins, and a NaN never does. After a grant
+  // only the winner's next efficiency changes.
+  const std::size_t n = ctx.jobs.size();
+  int remaining = ctx.total_cpus - static_cast<int>(n);
+  job_models_.resize(n);
+  counts_.assign(n, 1);
+  next_eff_.resize(n);
+  const auto eff_at_next = [&](std::size_t k) {
+    const int next = counts_[k] + 1;
+    // An ineligible job (at its request) is never picked: -1 is the
+    // search's starting bar, which a candidate must strictly beat.
+    return next > ctx.jobs[k].request ? -1.0 : EfficiencyAt(*job_models_[k], next);
+  };
+  if (remaining > 0) {
+    for (std::size_t k = 0; k < n; ++k) {
+      job_models_[k] = &models_[ctx.jobs[k].id];
+      next_eff_[k] = eff_at_next(k);
+    }
   }
   while (remaining > 0) {
     double best_eff = -1.0;
-    JobId best_job = kIdleJob;
-    int best_request = 0;
-    for (const PolicyJobInfo& job : ctx.jobs) {
-      const int next = plan[job.id] + 1;
-      if (next > job.request) {
-        continue;
-      }
-      const double eff = ExtrapolatedSpeedup(job.id, next) / next;
-      if (eff > best_eff) {
-        best_eff = eff;
-        best_job = job.id;
-        best_request = job.request;
+    std::size_t best = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (next_eff_[k] > best_eff) {
+        best_eff = next_eff_[k];
+        best = k;
       }
     }
-    if (best_job == kIdleJob) {
+    if (best == n) {
       break;  // Every job is at its request.
     }
-    (void)best_request;
-    ++plan[best_job];
+    ++counts_[best];
+    next_eff_[best] = eff_at_next(best);
     --remaining;
+  }
+  // More jobs than processors (remaining < 0) cannot happen with the paper's
+  // MLs; every job then keeps the one-processor floor.
+  for (std::size_t k = 0; k < n; ++k) {
+    plan.emplace(ctx.jobs[k].id, counts_[k]);
   }
   return plan;
 }

@@ -10,6 +10,7 @@
 #ifndef SRC_RM_EQUAL_EFFICIENCY_H_
 #define SRC_RM_EQUAL_EFFICIENCY_H_
 
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -52,15 +53,38 @@ class EqualEfficiency : public SchedulingPolicy {
     int procs = 0;
     double speedup = 1.0;
   };
+  // One job's extrapolation S(p) = s1 * (p / p1)^alpha, or S(p) = p for a
+  // job with no measurement yet.
+  struct Fit {
+    bool linear = true;
+    double s1 = 0.0;
+    double p1 = 0.0;
+    double alpha = 0.0;
+    double At(double p) const { return linear ? p : s1 * std::pow(p / p1, alpha); }
+  };
   struct JobModel {
     std::vector<Sample> samples;  // most recent last
+    // Memo of the fit's efficiency S(p) / p at p = 2, 3, ... (eff[k] is at
+    // p = k + 2), extended on demand and cleared whenever samples change.
+    // Reallocations between two of the job's reports reuse it; fit is valid
+    // while eff is non-empty.
+    Fit fit;
+    std::vector<double> eff;
   };
 
-  AllocationPlan Reallocate(const PolicyContext& ctx) const;
+  Fit FitOf(const JobModel& model) const;
+  // The memoized S(p) / p of `model` for p >= 2.
+  double EfficiencyAt(JobModel& model, int p) const;
+  AllocationPlan Reallocate(const PolicyContext& ctx);
 
   Params params_;
   std::map<JobId, JobModel> models_;
   Counter* reallocations_ = nullptr;
+  // Reallocate scratch, parallel to ctx.jobs: each job's model, processor
+  // count so far and efficiency at its next processor.
+  std::vector<JobModel*> job_models_;
+  std::vector<int> counts_;
+  std::vector<double> next_eff_;
 };
 
 }  // namespace pdpa

@@ -1,7 +1,6 @@
 #include "src/rm/irix.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/obs/counters.h"
@@ -29,12 +28,14 @@ AllocationPlan IrixTimeShare::OnJobStart(const PolicyContext& ctx, JobId job) {
       break;
     }
   }
+  ResetDispatchOrder();
   return AllocationPlan{};
 }
 
 AllocationPlan IrixTimeShare::OnJobFinish(const PolicyContext& ctx, JobId job) {
   (void)ctx;
   std::erase_if(threads_, [job](const Thread& t) { return t.job == job; });
+  ResetDispatchOrder();
   return AllocationPlan{};
 }
 
@@ -83,18 +84,23 @@ void IrixTimeShare::AdjustThreadCounts(const PolicyContext& ctx, int ncpus) {
   }
 }
 
-std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
-                                                        const PolicyContext& ctx, SimDuration dt,
-                                                        std::vector<CpuHandoff>* handoffs) {
-  dispatch_ticks_->Increment();
-  std::map<JobId, TimeShare> shares;
-  for (const PolicyJobInfo& info : ctx.jobs) {
-    shares[info.id] = TimeShare{0.0, 1.0};
+void IrixTimeShare::ResetDispatchOrder() {
+  dispatch_order_.resize(threads_.size());
+  for (std::size_t i = 0; i < dispatch_order_.size(); ++i) {
+    dispatch_order_[i].thread = static_cast<int>(i);
   }
+}
+
+void IrixTimeShare::TimeShareTick(Machine& machine, const PolicyContext& ctx, SimDuration dt,
+                                  std::vector<CpuHandoff>* handoffs,
+                                  std::vector<TimeShare>* shares) {
+  dispatch_ticks_->Increment();
+  shares->assign(ctx.jobs.size(), TimeShare{0.0, 1.0});
   const int ncpus = machine.num_cpus();
   clock_ += dt;
   if (params_.omp_dynamic && clock_ >= next_adjust_) {
     AdjustThreadCounts(ctx, ncpus);
+    ResetDispatchOrder();
     next_adjust_ = clock_ + params_.omp_adjust_period;
   }
   const int nthreads = static_cast<int>(threads_.size());
@@ -109,68 +115,91 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
         }
       }
     }
-    return shares;
+    return;
   }
 
   // Dispatch order: lowest effective vruntime first, where a thread that ran
-  // last tick gets an affinity/timeslice bonus. This is a coarse model of
-  // IRIX's priority aging with affinity.
+  // last tick gets an affinity/timeslice bonus; ties go to the lower thread
+  // index. This is a coarse model of IRIX's priority aging with affinity.
   const double bonus_s = TimeToSeconds(params_.affinity_bonus);
-  std::vector<int> order(threads_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const Thread& ta = threads_[static_cast<std::size_t>(a)];
-    const Thread& tb = threads_[static_cast<std::size_t>(b)];
-    const double ka = ta.vruntime_s - (ta.running ? bonus_s : 0.0);
-    const double kb = tb.vruntime_s - (tb.running ? bonus_s : 0.0);
-    return ka < kb;
-  });
+  PDPA_CHECK_EQ(dispatch_order_.size(), threads_.size());
+  for (DispatchSlot& slot : dispatch_order_) {
+    const Thread& t = threads_[static_cast<std::size_t>(slot.thread)];
+    slot.key = t.vruntime_s - (t.running ? bonus_s : 0.0);
+  }
+  for (std::size_t i = 1; i < dispatch_order_.size(); ++i) {
+    const DispatchSlot slot = dispatch_order_[i];
+    std::size_t j = i;
+    for (; j > 0; --j) {
+      const DispatchSlot& prev = dispatch_order_[j - 1];
+      if (!(slot.key < prev.key || (slot.key == prev.key && slot.thread < prev.thread))) {
+        break;
+      }
+      dispatch_order_[j] = prev;
+    }
+    dispatch_order_[j] = slot;
+  }
 
+  // The thread at dispatch position i.
+  const auto thread_at = [this](int i) -> Thread& {
+    return threads_[static_cast<std::size_t>(dispatch_order_[static_cast<std::size_t>(i)].thread)];
+  };
   const int to_run = std::min(ncpus, nthreads);
-  std::vector<bool> cpu_taken(static_cast<std::size_t>(ncpus), false);
-  std::map<JobId, int> migrations;
-  std::map<JobId, int> running_count;
+  cpu_taken_.assign(static_cast<std::size_t>(ncpus), 0);
+  cpu_assigned_.assign(static_cast<std::size_t>(ncpus), 0);
+  running_count_.assign(ctx.jobs.size(), 0);
+  migrations_.assign(ctx.jobs.size(), 0);
+  // Position of a thread's job in ctx.jobs (-1 if absent); threads of one
+  // job mostly sit together, so the last hit is checked first.
+  std::size_t last_pos = 0;
+  const auto position_of = [&](JobId job) -> int {
+    if (last_pos < ctx.jobs.size() && ctx.jobs[last_pos].id == job) {
+      return static_cast<int>(last_pos);
+    }
+    for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
+      if (ctx.jobs[k].id == job) {
+        last_pos = k;
+        return static_cast<int>(k);
+      }
+    }
+    return -1;
+  };
 
   // Pass 1: selected threads reclaim their previous CPU when possible.
   for (int i = 0; i < to_run; ++i) {
-    Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
-    if (t.last_cpu >= 0 && t.last_cpu < ncpus && !cpu_taken[static_cast<std::size_t>(t.last_cpu)]) {
-      cpu_taken[static_cast<std::size_t>(t.last_cpu)] = true;
+    const Thread& t = thread_at(i);
+    if (t.last_cpu >= 0 && t.last_cpu < ncpus) {
+      cpu_taken_[static_cast<std::size_t>(t.last_cpu)] = 1;
     }
   }
   // Pass 2: place every selected thread; the ones whose CPU was claimed by
   // someone else (or who never ran) take the lowest free CPU and migrate.
-  std::vector<bool> cpu_assigned(static_cast<std::size_t>(ncpus), false);
+  // Each reclaimed CPU goes to the first selected thread that last ran on
+  // it, so the others need at most ncpus - |reclaimed| free CPUs: the free
+  // search cannot run dry. It only ever marks CPUs assigned, so the lowest
+  // free CPU only moves up and is tracked by a cursor.
+  int free_cursor = 0;
   for (int i = 0; i < to_run; ++i) {
-    Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
-    int cpu = -1;
-    if (t.last_cpu >= 0 && t.last_cpu < ncpus &&
-        !cpu_assigned[static_cast<std::size_t>(t.last_cpu)] &&
-        cpu_taken[static_cast<std::size_t>(t.last_cpu)]) {
-      cpu = t.last_cpu;
-    } else {
-      for (int c = 0; c < ncpus; ++c) {
-        if (!cpu_taken[static_cast<std::size_t>(c)] && !cpu_assigned[static_cast<std::size_t>(c)]) {
-          cpu = c;
-          break;
-        }
+    Thread& t = thread_at(i);
+    const int pos = position_of(t.job);
+    int cpu = t.last_cpu;
+    if (!(t.last_cpu >= 0 && t.last_cpu < ncpus &&
+          cpu_assigned_[static_cast<std::size_t>(t.last_cpu)] == 0 &&
+          cpu_taken_[static_cast<std::size_t>(t.last_cpu)] != 0)) {
+      while (free_cursor < ncpus && (cpu_taken_[static_cast<std::size_t>(free_cursor)] != 0 ||
+                                     cpu_assigned_[static_cast<std::size_t>(free_cursor)] != 0)) {
+        ++free_cursor;
       }
-      if (cpu < 0) {
-        // All non-reclaimed CPUs exhausted: steal any unassigned CPU.
-        for (int c = 0; c < ncpus; ++c) {
-          if (!cpu_assigned[static_cast<std::size_t>(c)]) {
-            cpu = c;
-            break;
-          }
+      PDPA_CHECK_LT(free_cursor, ncpus);
+      cpu = free_cursor;
+      if (t.last_cpu >= 0 && cpu != t.last_cpu) {
+        if (pos >= 0) {
+          ++migrations_[static_cast<std::size_t>(pos)];
         }
-      }
-      if (cpu >= 0 && t.last_cpu >= 0 && cpu != t.last_cpu) {
-        ++migrations[t.job];
         ++total_thread_migrations_;
       }
     }
-    PDPA_CHECK_GE(cpu, 0);
-    cpu_assigned[static_cast<std::size_t>(cpu)] = true;
+    cpu_assigned_[static_cast<std::size_t>(cpu)] = 1;
     const JobId prev_owner = machine.OwnerOf(cpu);
     if (prev_owner != t.job) {
       machine.SetOwner(cpu, t.job);
@@ -184,19 +213,25 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
     // migration churn observed on the real machine.
     t.vruntime_s += TimeToSeconds(dt) * (1.0 + rng_.Uniform(-params_.vruntime_jitter,
                                                             params_.vruntime_jitter));
-    ++running_count[t.job];
+    if (pos >= 0) {
+      ++running_count_[static_cast<std::size_t>(pos)];
+    }
   }
   // Threads beyond the CPU count wait this tick.
   for (int i = to_run; i < nthreads; ++i) {
-    threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])].running = false;
+    thread_at(i).running = false;
   }
-  // Idle CPUs (fewer threads than CPUs) release their owner.
-  for (int c = 0; c < ncpus; ++c) {
-    if (!cpu_assigned[static_cast<std::size_t>(c)] && machine.OwnerOf(c) != kIdleJob) {
-      const JobId prev_owner = machine.OwnerOf(c);
-      machine.SetOwner(c, kIdleJob);
-      if (handoffs != nullptr) {
-        handoffs->push_back(CpuHandoff{c, prev_owner, kIdleJob});
+  // Idle CPUs (fewer threads than CPUs) release their owner. Each of the
+  // to_run assigned CPUs now belongs to a job, so when exactly ncpus - to_run
+  // CPUs are free, no unassigned CPU has an owner to release.
+  if (machine.FreeCpus() != ncpus - to_run) {
+    for (int c = 0; c < ncpus; ++c) {
+      if (cpu_assigned_[static_cast<std::size_t>(c)] == 0 && machine.OwnerOf(c) != kIdleJob) {
+        const JobId prev_owner = machine.OwnerOf(c);
+        machine.SetOwner(c, kIdleJob);
+        if (handoffs != nullptr) {
+          handoffs->push_back(CpuHandoff{c, prev_owner, kIdleJob});
+        }
       }
     }
   }
@@ -205,18 +240,17 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
       static_cast<double>(nthreads) / static_cast<double>(ncpus);
   const double contention =
       1.0 / (1.0 + params_.overcommit_penalty * std::max(0.0, overcommit - 1.0));
-  for (auto& [job, share] : shares) {
-    const int running = running_count.contains(job) ? running_count[job] : 0;
+  for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
+    TimeShare& share = (*shares)[k];
+    const int running = running_count_[k];
     share.effective_procs = static_cast<double>(running);
     double overhead = contention;
     if (running > 0) {
-      const int migs = migrations.contains(job) ? migrations[job] : 0;
-      overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migs) /
+      overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migrations_[k]) /
                                           static_cast<double>(running));
     }
     share.overhead = overhead;
   }
-  return shares;
 }
 
 }  // namespace pdpa

@@ -11,7 +11,6 @@
 #ifndef SRC_RM_IRIX_H_
 #define SRC_RM_IRIX_H_
 
-#include <map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -60,9 +59,8 @@ class IrixTimeShare : public SchedulingPolicy {
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
   bool ShouldAdmit(const PolicyContext& ctx) const override;
 
-  std::map<JobId, TimeShare> TimeShareTick(Machine& machine, const PolicyContext& ctx,
-                                           SimDuration dt,
-                                           std::vector<CpuHandoff>* handoffs) override;
+  void TimeShareTick(Machine& machine, const PolicyContext& ctx, SimDuration dt,
+                     std::vector<CpuHandoff>* handoffs, std::vector<TimeShare>* shares) override;
 
   // Total kernel-thread migrations performed so far (threads dispatched on a
   // CPU different from their previous one).
@@ -84,10 +82,29 @@ class IrixTimeShare : public SchedulingPolicy {
 
   // Slow OMP_DYNAMIC thread-count adaptation toward the fair share.
   void AdjustThreadCounts(const PolicyContext& ctx, int ncpus);
+  // Resets the dispatch permutation to the identity over threads_; called
+  // whenever threads_ changes shape.
+  void ResetDispatchOrder();
 
   Params params_;
   Rng rng_;
   std::vector<Thread> threads_;
+  // One thread's place in the dispatch order, with its key for this tick.
+  struct DispatchSlot {
+    double key = 0.0;
+    int thread = 0;  // index into threads_
+  };
+  // Dispatch permutation of threads_, kept from one tick to the next: each
+  // tick insertion-sorts it by (key, thread index), which is the order a
+  // stable sort of the identity by key gives, in near-linear time because
+  // one tick's order barely differs from the last.
+  std::vector<DispatchSlot> dispatch_order_;
+  // Per-tick scratch: per CPU (reclaimed / assigned) and per ctx.jobs
+  // position (dispatched threads / migrations).
+  std::vector<char> cpu_taken_;
+  std::vector<char> cpu_assigned_;
+  std::vector<int> running_count_;
+  std::vector<int> migrations_;
   Counter* dispatch_ticks_ = nullptr;
   long long total_thread_migrations_ = 0;
   SimTime next_adjust_ = 0;

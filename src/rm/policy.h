@@ -133,16 +133,17 @@ class SchedulingPolicy {
 
   // Thread-level scheduling step for time-sharing policies. Assigns CPU
   // owners in `machine` directly, appends the reassignments to `handoffs`,
-  // and returns each job's share of the tick.
-  virtual std::map<JobId, TimeShare> TimeShareTick(Machine& machine, const PolicyContext& ctx,
-                                                   SimDuration dt,
-                                                   std::vector<CpuHandoff>* handoffs) {
+  // and overwrites *shares with each job's share of the tick, parallel to
+  // ctx.jobs ((*shares)[i] belongs to ctx.jobs[i]). The caller owns both
+  // buffers, so a steady-state tick allocates nothing.
+  virtual void TimeShareTick(Machine& machine, const PolicyContext& ctx, SimDuration dt,
+                             std::vector<CpuHandoff>* handoffs, std::vector<TimeShare>* shares) {
     (void)machine;
     (void)ctx;
     (void)dt;
     (void)handoffs;
+    (void)shares;
     PDPA_CHECK(false) << "TimeShareTick on a space-sharing policy";
-    return {};
   }
 
  protected:

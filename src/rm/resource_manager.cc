@@ -1,6 +1,7 @@
 #include "src/rm/resource_manager.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -743,18 +744,29 @@ void ResourceManager::OnTick(SimTime now) {
   const SimDuration dt = now - advanced_to_;
 
   if (policy_->is_time_sharing()) {
-    std::vector<CpuHandoff> handoffs;
-    const std::map<JobId, TimeShare> shares = [&] {
+    share_handoffs_.clear();
+    const PolicyContext* ctx = nullptr;
+    {
       ProfScope decide_scope(profiler_, SpanId::kPolicyDecide);
-      return policy_->TimeShareTick(machine_, FillContext(now), dt, &handoffs);
-    }();
-    if (trace_ != nullptr) {
-      trace_->OnHandoffs(advanced_to_, handoffs);
+      ctx = &FillContext(now);
+      policy_->TimeShareTick(machine_, *ctx, dt, &share_handoffs_, &shares_);
     }
-    for (const auto& [job, share] : shares) {
-      const int slot = SlotOf(job);
+    if (trace_ != nullptr) {
+      trace_->OnHandoffs(advanced_to_, share_handoffs_);
+    }
+    // Advance in ascending JobId order: AdvanceTimeShared queues the job's
+    // performance reports, and their order reaches the event log.
+    share_order_.resize(ctx->jobs.size());
+    std::iota(share_order_.begin(), share_order_.end(), 0);
+    std::sort(share_order_.begin(), share_order_.end(), [ctx](int a, int b) {
+      return ctx->jobs[static_cast<std::size_t>(a)].id < ctx->jobs[static_cast<std::size_t>(b)].id;
+    });
+    for (const int pos : share_order_) {
+      const std::size_t k = static_cast<std::size_t>(pos);
+      const int slot = SlotOf(ctx->jobs[k].id);
       if (slot >= 0) {
         const std::size_t s = static_cast<std::size_t>(slot);
+        const TimeShare& share = shares_[k];
         slots_[s].binding->app().AdvanceTimeShared(advanced_to_, dt, share.effective_procs,
                                                    share.overhead);
         hot_.alloc_integral_us[s] += share.effective_procs * static_cast<double>(dt);

@@ -278,6 +278,11 @@ class ResourceManager {
   long long total_reallocations_ = 0;
 
   mutable PolicyContext scratch_ctx_;
+  // Time-sharing tick buffers: the policy's CPU reassignments, its shares
+  // (parallel to scratch_ctx_.jobs) and their JobId-ascending advance order.
+  std::vector<CpuHandoff> share_handoffs_;
+  std::vector<TimeShare> shares_;
+  std::vector<int> share_order_;
   std::vector<std::pair<JobId, int>> plan_scratch_;
 
   JobFinishCallback on_finish_;

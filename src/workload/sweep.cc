@@ -181,27 +181,32 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_pref
       out->result = RunExperiment(config, group->jobs);
     }
   }
+  if (cell.nodes == 1 &&
+      (options.capture_counters || options.capture_events || options.capture_timeseries)) {
+    // Snapshot and serialize the recordings inside the cell's host window,
+    // under their own span, so the profile accounts for the write. (Cluster
+    // cells came back serialized from RunClusterCell.)
+    ProfScope serialize_scope(options.capture_prof ? &out->profile : nullptr,
+                              SpanId::kObsSerialize);
+    if (options.capture_counters) {
+      out->counters = registry.Snapshot();
+    }
+    if (options.capture_events) {
+      scratch->event_log.Flush();  // The log buffers; push bytes out before reading.
+      out->events_jsonl = scratch->events.str();
+    }
+    if (options.capture_timeseries) {
+      std::ostringstream csv;
+      if (options.legacy_serialization_for_test) {
+        internal::WriteTimeSeriesCsvLegacy(scratch->timeseries, csv);
+      } else {
+        scratch->timeseries.WriteCsv(csv);
+      }
+      out->timeseries_csv = csv.str();
+    }
+  }
   if (options.capture_prof) {
     out->host_end_ns = prof::NowNanos();
-  }
-  if (cell.nodes > 1) {
-    return;
-  }
-  if (options.capture_counters) {
-    out->counters = registry.Snapshot();
-  }
-  if (options.capture_events) {
-    scratch->event_log.Flush();  // The log buffers; push bytes out before reading.
-    out->events_jsonl = scratch->events.str();
-  }
-  if (options.capture_timeseries) {
-    std::ostringstream csv;
-    if (options.legacy_serialization_for_test) {
-      internal::WriteTimeSeriesCsvLegacy(scratch->timeseries, csv);
-    } else {
-      scratch->timeseries.WriteCsv(csv);
-    }
-    out->timeseries_csv = csv.str();
   }
 }
 

@@ -38,6 +38,13 @@ struct GoldenCase {
   bool exact_ticks;
 };
 
+// gtest prints parameters into the test list (and so into ctest names);
+// without this it dumps the struct's raw bytes, padding included.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << "{" << PolicyKindName(c.policy) << ", " << WorkloadShortName(c.workload) << ", seed "
+      << c.seed << (c.exact_ticks ? ", exact_ticks" : "") << "}";
+}
+
 std::string CaseName(const ::testing::TestParamInfo<GoldenCase>& info) {
   return std::string(PolicyKindName(info.param.policy)) + "_" +
          WorkloadShortName(info.param.workload) + "_s" + std::to_string(info.param.seed) +

@@ -2,6 +2,13 @@
 // Equal_efficiency and the IRIX time-sharing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/core/pdpa_policy.h"
 #include "src/machine/machine.h"
@@ -166,17 +173,107 @@ TEST(EqualEfficiencyTest, NoiseCausesAllocationVariance) {
   EXPECT_GT(max_alloc - min_alloc, 4) << "expected allocation jitter under noise";
 }
 
+// Equal_efficiency's allocation as it was before each job was fitted once
+// per reallocation: every round re-extrapolates every job at its next
+// processor count and grants one processor to the earliest job with a
+// strictly larger efficiency. Kept as the differential reference.
+AllocationPlan ReferenceEqualEffPlan(const EqualEfficiency& policy, const PolicyContext& ctx) {
+  AllocationPlan plan;
+  if (ctx.jobs.empty()) {
+    return plan;
+  }
+  int remaining = ctx.total_cpus;
+  for (const PolicyJobInfo& job : ctx.jobs) {
+    plan[job.id] = 1;
+    --remaining;
+  }
+  if (remaining < 0) {
+    return plan;
+  }
+  while (remaining > 0) {
+    double best_eff = -1.0;
+    JobId best_job = kIdleJob;
+    for (const PolicyJobInfo& job : ctx.jobs) {
+      const int next = plan[job.id] + 1;
+      if (next > job.request) {
+        continue;
+      }
+      const double eff = policy.ExtrapolatedSpeedup(job.id, next) / next;
+      if (eff > best_eff) {
+        best_eff = eff;
+        best_job = job.id;
+      }
+    }
+    if (best_job == kIdleJob) {
+      break;
+    }
+    ++plan[best_job];
+    --remaining;
+  }
+  return plan;
+}
+
+// Random sample histories drawn from a small value set, so efficiencies tie
+// exactly across jobs and across processor counts; zero, negative and NaN
+// speedups; requests below the machine; and, on tiny machines, more jobs
+// than processors.
+TEST(EqualEfficiencyDifferentialTest, IncrementalPlanMatchesPerRoundReference) {
+  Rng scenario(77);
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 200; ++trial) {
+    EqualEfficiency policy;
+    const int total_cpus = std::vector<int>{3, 8, 16, 60}[static_cast<std::size_t>(trial % 4)];
+    const int njobs = scenario.UniformInt(1, total_cpus < 8 ? 5 : 4);
+    PolicyContext ctx = MakeContext({}, total_cpus);
+    for (int j = 0; j < njobs; ++j) {
+      PolicyJobInfo info;
+      info.id = 10 - j;  // descending ids: ctx order is not id order
+      info.request = scenario.UniformInt(1, total_cpus + 2);
+      ctx.jobs.push_back(info);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " start " << info.id);
+      const AllocationPlan plan = policy.OnJobStart(ctx, info.id);
+      ASSERT_EQ(plan, ReferenceEqualEffPlan(policy, ctx));
+    }
+    for (int step = 0; step < 40; ++step) {
+      PerfReport report;
+      report.job = ctx.jobs[static_cast<std::size_t>(scenario.UniformInt(0, njobs - 1))].id;
+      report.procs = scenario.UniformInt(1, 8);
+      const double pick = scenario.NextDouble();
+      if (pick < 0.05) {
+        report.speedup = kNaN;
+      } else if (pick < 0.12) {
+        report.speedup = 0.0;
+      } else if (pick < 0.15) {
+        report.speedup = -1.0;
+      } else if (pick < 0.5) {
+        report.speedup = static_cast<double>(report.procs);  // linear: ties at 1.0
+      } else {
+        report.speedup = 0.5 * scenario.UniformInt(1, 8);
+      }
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " step " << step);
+      // The plan first: OnReport records the sample the reference reads.
+      const AllocationPlan plan = policy.OnReport(ctx, report);
+      ASSERT_EQ(plan, ReferenceEqualEffPlan(policy, ctx));
+      if (step % 10 == 9) {
+        ASSERT_EQ(policy.OnQuantum(ctx), ReferenceEqualEffPlan(policy, ctx));
+      }
+    }
+  }
+}
+
 TEST(IrixTest, ThreadsFollowJobLifecycle) {
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
   Machine machine(8);
   PolicyContext ctx = MakeContext({{1, 4}}, 8);
   (void)policy.OnJobStart(ctx, 1);
   std::vector<CpuHandoff> handoffs;
-  auto shares = policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
-  EXPECT_DOUBLE_EQ(shares.at(1).effective_procs, 4.0);
+  std::vector<TimeShare> shares;
+  policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
+  ASSERT_EQ(shares.size(), 1u);  // parallel to ctx.jobs: shares[0] is job 1
+  EXPECT_DOUBLE_EQ(shares[0].effective_procs, 4.0);
   EXPECT_EQ(machine.CountOf(1), 4);
   (void)policy.OnJobFinish(MakeContext({}, 8), 1);
-  shares = policy.TimeShareTick(machine, MakeContext({}, 8), 20 * kMillisecond, &handoffs);
+  policy.TimeShareTick(machine, MakeContext({}, 8), 20 * kMillisecond, &handoffs, &shares);
   EXPECT_TRUE(shares.empty());
   EXPECT_EQ(machine.FreeCpus(), 8);
 }
@@ -188,10 +285,12 @@ TEST(IrixTest, UndercommittedRunsEverythingWithoutOverhead) {
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
   std::vector<CpuHandoff> handoffs;
-  const auto shares = policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
-  EXPECT_DOUBLE_EQ(shares.at(1).effective_procs, 4.0);
-  EXPECT_DOUBLE_EQ(shares.at(2).effective_procs, 4.0);
-  EXPECT_NEAR(shares.at(1).overhead, 1.0, 1e-9);
+  std::vector<TimeShare> shares;
+  policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
+  ASSERT_EQ(shares.size(), 2u);  // shares[0] is job 1, shares[1] job 2
+  EXPECT_DOUBLE_EQ(shares[0].effective_procs, 4.0);
+  EXPECT_DOUBLE_EQ(shares[1].effective_procs, 4.0);
+  EXPECT_NEAR(shares[0].overhead, 1.0, 1e-9);
 }
 
 TEST(IrixTest, OvercommitSharesCpusAndDegrades) {
@@ -201,12 +300,14 @@ TEST(IrixTest, OvercommitSharesCpusAndDegrades) {
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   double total_eff_procs = 0.0;
   double min_overhead = 1.0;
   for (int tick = 0; tick < 200; ++tick) {
-    const auto shares = policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
-    total_eff_procs += shares.at(1).effective_procs + shares.at(2).effective_procs;
-    min_overhead = std::min(min_overhead, shares.at(1).overhead);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
+    ASSERT_EQ(shares.size(), 2u);  // shares[0] is job 1, shares[1] job 2
+    total_eff_procs += shares[0].effective_procs + shares[1].effective_procs;
+    min_overhead = std::min(min_overhead, shares[0].overhead);
   }
   // All 8 CPUs are always busy, split between the jobs...
   EXPECT_NEAR(total_eff_procs / 200.0, 8.0, 1e-9);
@@ -221,8 +322,9 @@ TEST(IrixTest, TimeSlicingCausesMigrations) {
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   for (int tick = 0; tick < 500; ++tick) {
-    (void)policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
   }
   EXPECT_GT(policy.total_thread_migrations(), 20);
 }
@@ -240,8 +342,9 @@ TEST(IrixTest, OmpDynamicDriftsThreadCountsTowardFairShare) {
   (void)policy.OnJobStart(ctx, 2);
   EXPECT_EQ(policy.ThreadCountOf(1), 16);
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   for (int tick = 0; tick < 200; ++tick) {
-    (void)policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
   }
   // Fair share is 8 per job: both teams must have drifted down to it.
   EXPECT_EQ(policy.ThreadCountOf(1), 8);
@@ -257,8 +360,9 @@ TEST(IrixTest, OmpDynamicDisabledKeepsRequestThreads) {
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   for (int tick = 0; tick < 200; ++tick) {
-    (void)policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
   }
   EXPECT_EQ(policy.ThreadCountOf(1), 16);
   EXPECT_EQ(policy.ThreadCountOf(2), 16);
@@ -335,20 +439,282 @@ TEST(IrixTest, ThreadReclaimsItsCpuAfterWaiting) {
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   const long long before = policy.total_thread_migrations();
   for (int tick = 0; tick < 50; ++tick) {
-    (void)policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
   }
   // With zero jitter the two gangs alternate cleanly: after the initial
   // placements each thread returns to its own cpu, so migrations stay tiny.
   EXPECT_LE(policy.total_thread_migrations() - before, 4);
 }
 
+// The IRIX tick as it was before the dispatch permutation persisted across
+// ticks: a fresh identity permutation stable_sorted by effective vruntime
+// every tick, CPUs searched from 0 for each migrating thread, and per-job
+// tallies in maps. Kept as the differential reference for IrixTimeShare.
+class ReferenceIrix {
+ public:
+  ReferenceIrix(IrixTimeShare::Params params, Rng rng) : params_(params), rng_(rng) {}
+
+  void OnJobStart(const PolicyContext& ctx, JobId job) {
+    for (const PolicyJobInfo& info : ctx.jobs) {
+      if (info.id == job) {
+        for (int i = 0; i < info.request; ++i) {
+          threads_.push_back(Thread{job, -1, false, 0.0});
+        }
+        break;
+      }
+    }
+  }
+
+  void OnJobFinish(JobId job) {
+    std::erase_if(threads_, [job](const Thread& t) { return t.job == job; });
+  }
+
+  int ThreadCountOf(JobId job) const {
+    return static_cast<int>(
+        std::count_if(threads_.begin(), threads_.end(), [job](const Thread& t) {
+          return t.job == job;
+        }));
+  }
+
+  long long total_thread_migrations() const { return total_thread_migrations_; }
+
+  std::map<JobId, TimeShare> TimeShareTick(Machine& machine, const PolicyContext& ctx,
+                                           SimDuration dt, std::vector<CpuHandoff>* handoffs) {
+    std::map<JobId, TimeShare> shares;
+    for (const PolicyJobInfo& info : ctx.jobs) {
+      shares[info.id] = TimeShare{0.0, 1.0};
+    }
+    const int ncpus = machine.num_cpus();
+    clock_ += dt;
+    if (params_.omp_dynamic && clock_ >= next_adjust_) {
+      AdjustThreadCounts(ctx, ncpus);
+      next_adjust_ = clock_ + params_.omp_adjust_period;
+    }
+    const int nthreads = static_cast<int>(threads_.size());
+    if (nthreads == 0) {
+      for (int c = 0; c < ncpus; ++c) {
+        const JobId prev_owner = machine.OwnerOf(c);
+        if (prev_owner != kIdleJob) {
+          machine.SetOwner(c, kIdleJob);
+          handoffs->push_back(CpuHandoff{c, prev_owner, kIdleJob});
+        }
+      }
+      return shares;
+    }
+    const double bonus_s = TimeToSeconds(params_.affinity_bonus);
+    std::vector<int> order(threads_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      const Thread& ta = threads_[static_cast<std::size_t>(a)];
+      const Thread& tb = threads_[static_cast<std::size_t>(b)];
+      const double ka = ta.vruntime_s - (ta.running ? bonus_s : 0.0);
+      const double kb = tb.vruntime_s - (tb.running ? bonus_s : 0.0);
+      return ka < kb;
+    });
+    const int to_run = std::min(ncpus, nthreads);
+    std::vector<bool> cpu_taken(static_cast<std::size_t>(ncpus), false);
+    std::map<JobId, int> migrations;
+    std::map<JobId, int> running_count;
+    for (int i = 0; i < to_run; ++i) {
+      const Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+      if (t.last_cpu >= 0 && t.last_cpu < ncpus) {
+        cpu_taken[static_cast<std::size_t>(t.last_cpu)] = true;
+      }
+    }
+    std::vector<bool> cpu_assigned(static_cast<std::size_t>(ncpus), false);
+    for (int i = 0; i < to_run; ++i) {
+      Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+      int cpu = -1;
+      if (t.last_cpu >= 0 && t.last_cpu < ncpus &&
+          !cpu_assigned[static_cast<std::size_t>(t.last_cpu)] &&
+          cpu_taken[static_cast<std::size_t>(t.last_cpu)]) {
+        cpu = t.last_cpu;
+      } else {
+        for (int c = 0; c < ncpus; ++c) {
+          if (!cpu_taken[static_cast<std::size_t>(c)] &&
+              !cpu_assigned[static_cast<std::size_t>(c)]) {
+            cpu = c;
+            break;
+          }
+        }
+        if (cpu < 0) {
+          for (int c = 0; c < ncpus; ++c) {
+            if (!cpu_assigned[static_cast<std::size_t>(c)]) {
+              cpu = c;
+              break;
+            }
+          }
+        }
+        if (cpu >= 0 && t.last_cpu >= 0 && cpu != t.last_cpu) {
+          ++migrations[t.job];
+          ++total_thread_migrations_;
+        }
+      }
+      cpu_assigned[static_cast<std::size_t>(cpu)] = true;
+      const JobId prev_owner = machine.OwnerOf(cpu);
+      if (prev_owner != t.job) {
+        machine.SetOwner(cpu, t.job);
+        handoffs->push_back(CpuHandoff{cpu, prev_owner, t.job});
+      }
+      t.last_cpu = cpu;
+      t.running = true;
+      t.vruntime_s += TimeToSeconds(dt) * (1.0 + rng_.Uniform(-params_.vruntime_jitter,
+                                                              params_.vruntime_jitter));
+      ++running_count[t.job];
+    }
+    for (int i = to_run; i < nthreads; ++i) {
+      threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])].running = false;
+    }
+    for (int c = 0; c < ncpus; ++c) {
+      if (!cpu_assigned[static_cast<std::size_t>(c)] && machine.OwnerOf(c) != kIdleJob) {
+        const JobId prev_owner = machine.OwnerOf(c);
+        machine.SetOwner(c, kIdleJob);
+        handoffs->push_back(CpuHandoff{c, prev_owner, kIdleJob});
+      }
+    }
+    const double overcommit = static_cast<double>(nthreads) / static_cast<double>(ncpus);
+    const double contention =
+        1.0 / (1.0 + params_.overcommit_penalty * std::max(0.0, overcommit - 1.0));
+    for (auto& [job, share] : shares) {
+      const int running = running_count.contains(job) ? running_count[job] : 0;
+      share.effective_procs = static_cast<double>(running);
+      double overhead = contention;
+      if (running > 0) {
+        const int migs = migrations.contains(job) ? migrations[job] : 0;
+        overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migs) /
+                                            static_cast<double>(running));
+      }
+      share.overhead = overhead;
+    }
+    return shares;
+  }
+
+ private:
+  struct Thread {
+    JobId job = kIdleJob;
+    int last_cpu = -1;
+    bool running = false;
+    double vruntime_s = 0.0;
+  };
+
+  void AdjustThreadCounts(const PolicyContext& ctx, int ncpus) {
+    if (ctx.jobs.empty()) {
+      return;
+    }
+    const int fair = std::max(1, ncpus / static_cast<int>(ctx.jobs.size()));
+    for (const PolicyJobInfo& info : ctx.jobs) {
+      const int have = ThreadCountOf(info.id);
+      const int floor_threads =
+          std::max(1, static_cast<int>(info.request * params_.omp_min_fraction));
+      const int want = std::min(info.request, std::max(fair, floor_threads));
+      if (have > want) {
+        int to_remove = std::min(params_.omp_adjust_step, have - want);
+        for (auto it = threads_.rbegin(); it != threads_.rend() && to_remove > 0;) {
+          if (it->job == info.id) {
+            it = decltype(it)(threads_.erase(std::next(it).base()));
+            --to_remove;
+          } else {
+            ++it;
+          }
+        }
+      } else if (have < want) {
+        for (int i = 0; i < std::min(params_.omp_adjust_step, want - have); ++i) {
+          threads_.push_back(Thread{info.id, -1, false, 0.0});
+        }
+      }
+    }
+  }
+
+  IrixTimeShare::Params params_;
+  Rng rng_;
+  std::vector<Thread> threads_;
+  long long total_thread_migrations_ = 0;
+  SimTime next_adjust_ = 0;
+  SimTime clock_ = 0;
+};
+
+// Runs IrixTimeShare and the reference side by side through random job
+// arrivals and departures and requires identical dispatch, tick by tick.
+// Zero jitter makes many threads' vruntimes tie exactly (every run adds the
+// same dt), and an affinity bonus of exactly one tick ties running threads
+// with waiting ones, so the (key, thread index) tie-break is exercised as
+// much as the key order itself; short OMP_DYNAMIC periods reshape the
+// thread list every few ticks.
+TEST(IrixDifferentialTest, DispatchMatchesStableSortReference) {
+  Rng scenario(2024);
+  for (int trial = 0; trial < 48; ++trial) {
+    IrixTimeShare::Params params;
+    params.vruntime_jitter = trial % 2 == 0 ? 0.0 : 0.15;
+    params.affinity_bonus = std::vector<SimDuration>{0, 20 * kMillisecond,
+                                                     80 * kMillisecond}[trial % 3];
+    params.omp_dynamic = trial % 4 != 3;
+    params.omp_adjust_period = scenario.UniformInt(1, 10) * 20 * kMillisecond;
+    params.omp_adjust_step = scenario.UniformInt(1, 3);
+    params.omp_min_fraction = scenario.Uniform(0.2, 1.0);
+    const std::uint64_t seed = scenario.NextU64();
+    IrixTimeShare policy(params, Rng(seed));
+    ReferenceIrix reference(params, Rng(seed));
+    const int ncpus = scenario.UniformInt(1, 16);
+    Machine machine(ncpus);
+    Machine reference_machine(ncpus);
+    PolicyContext ctx = MakeContext({}, ncpus);
+    JobId next_job = 1;
+    std::vector<CpuHandoff> handoffs;
+    std::vector<CpuHandoff> reference_handoffs;
+    std::vector<TimeShare> shares;
+    for (int tick = 0; tick < 300; ++tick) {
+      const double event = scenario.NextDouble();
+      if (event < 0.05 && ctx.jobs.size() < 4) {
+        // Ids are not always ascending in ctx.jobs order.
+        const JobId job = tick % 7 == 0 ? next_job + 100 : next_job;
+        ++next_job;
+        PolicyJobInfo info;
+        info.id = job;
+        info.request = scenario.UniformInt(1, 2 * ncpus);
+        ctx.jobs.push_back(info);
+        (void)policy.OnJobStart(ctx, job);
+        reference.OnJobStart(ctx, job);
+      } else if (event < 0.08 && !ctx.jobs.empty()) {
+        const std::size_t k =
+            static_cast<std::size_t>(scenario.UniformInt(0, static_cast<int>(ctx.jobs.size()) - 1));
+        const JobId job = ctx.jobs[k].id;
+        ctx.jobs.erase(ctx.jobs.begin() + static_cast<std::ptrdiff_t>(k));
+        (void)policy.OnJobFinish(ctx, job);
+        reference.OnJobFinish(job);
+      }
+      handoffs.clear();
+      reference_handoffs.clear();
+      policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
+      const std::map<JobId, TimeShare> expected =
+          reference.TimeShareTick(reference_machine, ctx, 20 * kMillisecond, &reference_handoffs);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " tick " << tick);
+      ASSERT_EQ(handoffs.size(), reference_handoffs.size());
+      for (std::size_t i = 0; i < handoffs.size(); ++i) {
+        ASSERT_EQ(handoffs[i].cpu, reference_handoffs[i].cpu);
+        ASSERT_EQ(handoffs[i].from, reference_handoffs[i].from);
+        ASSERT_EQ(handoffs[i].to, reference_handoffs[i].to);
+      }
+      ASSERT_EQ(shares.size(), ctx.jobs.size());
+      for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
+        const TimeShare& want = expected.at(ctx.jobs[k].id);
+        ASSERT_EQ(shares[k].effective_procs, want.effective_procs);
+        ASSERT_EQ(shares[k].overhead, want.overhead);
+        ASSERT_EQ(policy.ThreadCountOf(ctx.jobs[k].id), reference.ThreadCountOf(ctx.jobs[k].id));
+      }
+      ASSERT_EQ(policy.total_thread_migrations(), reference.total_thread_migrations());
+    }
+  }
+}
+
 TEST(SpaceSharingPolicyDeathTest, TimeShareTickForbidden) {
   Equipartition policy(4);
   Machine machine(4);
   PolicyContext ctx = MakeContext({}, 4);
-  EXPECT_DEATH(policy.TimeShareTick(machine, ctx, 1000, nullptr), "Check failed");
+  std::vector<TimeShare> shares;
+  EXPECT_DEATH(policy.TimeShareTick(machine, ctx, 1000, nullptr, &shares), "Check failed");
 }
 
 TEST(PdpaPolicyTest, LifecyclePlumbing) {

@@ -103,7 +103,30 @@ std::vector<double> DoubleCorpus() {
     corpus.push_back(std::pow(10.0, e));
     corpus.push_back(-std::pow(10.0, e) * 1.2345678901);
   }
+  // AppendGeneral's integral fast path (|v| < 10^precision): both sides of
+  // every power of ten, the 2^52 / 2^53 region where doubles stop holding
+  // every integer, negative integers, and non-integers just below one.
+  for (int e = 0; e <= 17; ++e) {
+    const double p = std::pow(10.0, e);
+    for (const double v : {p - 1.0, p, p + 1.0, std::nextafter(p, 0.0), std::nextafter(p, 2 * p)}) {
+      corpus.push_back(v);
+      corpus.push_back(-v);
+    }
+  }
+  for (const double v : {0x1p52, 0x1p52 - 1.0, 0x1p52 + 1.0, 0x1p52 - 0.5, 0x1p53, 0x1p53 + 2.0,
+                         std::nextafter(0x1p52, 0.0), -42.0, -7.0, 30.0, 59.0, 1.0 - 0x1p-53,
+                         2.0 - 0x1p-52, 59.0 - 0x1p-47, 0.1, 99.99999999}) {
+    corpus.push_back(v);
+    corpus.push_back(-v);
+  }
   DeterministicBits bits;
+  for (int i = 0; i < 2000; ++i) {
+    // Integers of every magnitude, and the nearest non-integers below them.
+    const double whole = static_cast<double>(static_cast<long long>(bits.Next() >> (i % 64)));
+    corpus.push_back(whole);
+    corpus.push_back(-whole);
+    corpus.push_back(std::nextafter(whole, 0.0));
+  }
   for (int i = 0; i < 20000; ++i) {
     // Raw bit patterns: exercises subnormals, NaN payloads, both signs.
     double value = 0.0;
@@ -165,6 +188,34 @@ TEST(FmtGoldenTest, AppendFixedMatchesStrFormatF) {
       ASSERT_EQ(got, StrFormat(spec.c_str(), value))
           << "precision " << precision << " value bits " << StrFormat("%a", value);
     }
+  }
+}
+
+TEST(FmtGoldenTest, AppendMicrosAsSecondsMatchesStrFormatF) {
+  std::vector<SimTime> corpus = {0,
+                                 1,
+                                 999999,
+                                 1000000,
+                                 (SimTime{1} << 52) - 1,
+                                 SimTime{1} << 52,
+                                 -1,
+                                 -1000000,
+                                 (SimTime{1} << 52) + 1,
+                                 SimTime{1} << 53,
+                                 std::numeric_limits<SimTime>::max(),
+                                 std::numeric_limits<SimTime>::min()};
+  DeterministicBits bits;
+  for (int i = 0; i < 20000; ++i) {
+    // Every magnitude up to 2^63 - 1, both signs.
+    const auto t = static_cast<SimTime>(bits.Next() >> (1 + i % 63));
+    corpus.push_back(t);
+    corpus.push_back(-t);
+  }
+  std::string got;
+  for (const SimTime t : corpus) {
+    got.clear();
+    AppendMicrosAsSeconds(&got, t);
+    ASSERT_EQ(got, StrFormat("%.6f", TimeToSeconds(t))) << "t " << t;
   }
 }
 
@@ -280,6 +331,39 @@ TEST(BufWriterTest, NullSinkDiscardsQuietly) {
   writer.Append("dropped");
   writer.Flush();
   EXPECT_EQ(writer.bytes_written(), 0u);
+}
+
+// ------------------------------------------------ time-series CSV rows
+
+// The CSV writer reuses a job's formatted speedup/efficiency pair while both
+// values are bitwise unchanged. Values that compare equal but print
+// differently (0.0 / -0.0), NaN, jobs that share a slot (1, 65 and 129) and
+// interleaved jobs must all still print exactly as the legacy writer does.
+TEST(TimeSeriesCsvTest, RepeatedMeasurementsMatchLegacyWriter) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  TimeSeriesSampler series;
+  const std::vector<std::pair<JobId, std::pair<double, double>>> points = {
+      {1, {0.0, 0.0}},   {1, {-0.0, 0.0}},  {1, {-0.0, -0.0}}, {1, {0.0, 0.0}},
+      {65, {0.0, 0.0}},  {1, {0.0, 0.0}},   {65, {kNaN, 0.5}}, {65, {kNaN, 0.5}},
+      {1, {kNaN, 0.5}},  {2, {2.5, 0.625}}, {1, {2.5, 0.625}}, {2, {2.5, 0.625}},
+      {2, {2.5, 0.6250000000000001}},       {129, {3.0, 1.0}}, {1, {3.0, 1.0}}};
+  SimTime t = 0;
+  for (const auto& [job, measurement] : points) {
+    TimeSeriesSampler::AppPoint point;
+    point.t_start = t;
+    point.t_end = t + 100 * kMillisecond;
+    point.job = job;
+    point.alloc = 3.0;
+    point.speedup = measurement.first;
+    point.efficiency = measurement.second;
+    series.AddApp(point);
+    t += 100 * kMillisecond;
+  }
+  std::ostringstream fast_csv, legacy_csv;
+  series.WriteCsv(fast_csv);
+  internal::WriteTimeSeriesCsvLegacy(series, legacy_csv);
+  EXPECT_EQ(fast_csv.str(), legacy_csv.str());
+  EXPECT_NE(fast_csv.str().find("app,0.100000,0.200000,1,3,-0,0,"), std::string::npos);
 }
 
 // -------------------------------------------- end-to-end byte identity

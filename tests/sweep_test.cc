@@ -31,8 +31,9 @@ long long MigrationsWithBonus(SimDuration bonus) {
     (void)policy.OnJobStart(ctx, job);
   }
   std::vector<CpuHandoff> handoffs;
+  std::vector<TimeShare> shares;
   for (int tick = 0; tick < 1000; ++tick) {
-    (void)policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
   }
   return policy.total_thread_migrations();
 }
