@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <queue>
-#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -65,13 +65,94 @@ namespace {
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
+// Rounds a waiting shard thread polls before it blocks on its condition
+// variable: long enough to bridge the few microseconds between two
+// saturated completions, short enough not to burn a core through an idle
+// phase.
+constexpr int kSpinRounds = 1 << 12;
+
+// Rounds a thread spins on try_lock before it blocks on the engine mutex:
+// controller sections last a few microseconds, less than a futex sleep and
+// wake-up.
+constexpr int kLockSpins = 256;
+
+// Blocked nodes a shard lets wait for their drain before it holds back work
+// no drain waits on: the owner drains its own nodes, and one stepped just
+// ahead of its drain still has its state in the owner's cache.
+constexpr int kMaxLead = 4;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Takes `lock`'s mutex, spinning on try_lock first.
+void SpinLock(std::unique_lock<Mutex>& lock) {
+  for (int i = 0; i < kLockSpins; ++i) {
+    if (lock.try_lock()) {
+      return;
+    }
+    CpuRelax();
+  }
+  lock.lock();
+}
+
+// The RM reports "nothing pending" as kHorizonNever; the engine as kNever.
+SimTime FromHorizon(SimTime t) { return t >= kHorizonNever ? kNever : t; }
+
+// An event at `t` must run before the controller passes `barrier`.
+bool Due(SimTime t, SimTime barrier) { return t != kNever && t <= barrier; }
+
+// Node indices as a bitset: membership changes allocate nothing, and scans
+// run by word with countr_zero (as in CpuSet), in ascending index order.
+class NodeSet {
+ public:
+  NodeSet() = default;
+  explicit NodeSet(int size) : words_(static_cast<std::size_t>((size + 63) / 64), 0) {}
+
+  bool empty() const { return count_ == 0; }
+
+  void Assign(int k, bool member) {
+    std::uint64_t& word = words_[static_cast<std::size_t>(k / 64)];
+    const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+    if (((word & bit) != 0) == member) {
+      return;
+    }
+    word ^= bit;
+    count_ += member ? 1 : -1;
+  }
+
+  // Lowest member >= k, or -1.
+  int NextFrom(int k) const {
+    std::size_t w = static_cast<std::size_t>(k / 64);
+    if (w >= words_.size()) {
+      return -1;
+    }
+    std::uint64_t word = words_[w] & (~std::uint64_t{0} << (k % 64));
+    for (;;) {
+      if (word != 0) {
+        return static_cast<int>(w) * 64 + std::countr_zero(word);
+      }
+      if (++w == words_.size()) {
+        return -1;
+      }
+      word = words_[w];
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  int count_ = 0;
+};
+
 // One SMP node: a private Simulation plus its NANOS RM and flight-recorder
-// sinks. The "visible activity" flags accumulate the node-local facts the
-// controller must observe (completions and admission flips); they are
-// written by whichever thread is advancing the node's shard and read by the
-// controller only while that shard is stopped — the engine mutex provides
-// the happens-before edge, audit builds additionally verify log-sink
-// confinement via the Handoff protocol.
+// sinks. A node has one owner at a time: its shard's thread while it sits
+// in the shard's heaps, the controller (whichever thread holds the engine
+// mutex) while it is blocked on visible activity or waits in the shard's
+// inbox. Ownership moves under the engine mutex, which provides the
+// happens-before edge; audit builds also verify log-sink confinement via
+// the Handoff protocol.
 struct Node {
   int index = 0;
   Registry registry;
@@ -88,11 +169,10 @@ struct Node {
   std::vector<JobId> finished_local;
   // Controller's last synced view of rm->CanStartJob(), and whether any
   // flip (in either direction) happened since — a flip-and-back still
-  // pauses the shard, and the controller deterministically re-syncs to the
+  // blocks the node, and the controller deterministically re-syncs to the
   // (unchanged) final value in both the sharded and the serial run.
   bool admit_shadow = false;
   bool admit_changed = false;
-  bool in_visible_list = false;
 
   // rm->Start() active. A started node with zero jobs is parked again at
   // the completion batch that emptied it, which keeps idle node event
@@ -104,10 +184,16 @@ struct Node {
   std::vector<const JobSpec*> local_spec;
   std::vector<SimTime> local_start;
 
-  // Key of this node's freshest shard-heap entry; kNever when none. Heap
-  // entries are invalidated lazily: an entry is live iff its key still
-  // equals queued_at.
+  // Keys of this node's freshest entries in its shard's event and bound
+  // heaps; kNever when it has none. Entries are invalidated lazily: an
+  // entry is live iff its key still equals the field.
   SimTime queued_at = kNever;
+  SimTime bound_at = kNever;
+  // Lower bound on the node's next visible instant: the RM's
+  // NextVisibleBound, raised monotonically between visible events (a step
+  // without visible activity cannot invalidate an earlier bound).
+  SimTime bound = kNever;
+  bool in_inbox = false;  // guarded by the engine mutex
 
   SimTime NextEventTime() { return sim.events().empty() ? kNever : sim.events().NextTime(); }
   bool HasVisible() const { return !finished_local.empty() || admit_changed; }
@@ -119,13 +205,6 @@ struct Node {
       timeseries->HandoffConfinement();
     }
   }
-};
-
-enum class ShardState {
-  kQuiesced,       // no work at or before the barrier; heap top is stale-free
-  kRunning,        // dispatched; a worker is (or will be) advancing it
-  kPausedVisible,  // stopped at visible_time with undrained visible activity
-  kExit,           // run over; worker should return
 };
 
 struct HeapEntry {
@@ -142,36 +221,51 @@ struct HeapEntryAfter {
   }
 };
 
-// One worker event loop over a subset of the nodes. `state`, `visible_*`
-// and the heap are guarded by the engine mutex at every ownership transfer;
-// `watermark` is the lock-free progress signal the controller polls to
-// decide when a completion batch time is globally safe.
+// Min-heap in canonical (time, node-index) order.
+using NodeHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapEntryAfter>;
+
+// One event loop over a subset of the nodes (node k lives on shard
+// k % shards). While active, the shard's thread owns its heaps and steps
+// its nodes without the engine mutex; while idle it touches neither, and
+// the controller may read them under the mutex.
 struct Shard {
-  int index = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapEntryAfter> heap;
-  // Nodes with undrained visible activity, in ascending index order (the
-  // heap tie-break drains same-time events lowest-node-first).
-  std::vector<Node*> visible_nodes;
-  SimTime visible_time = kNever;
-  // Lower bound on this shard's next dispatch time while kRunning: no event
-  // at or before the watermark will ever be dispatched again.
-  std::atomic<SimTime> watermark{0};
-  ShardState state = ShardState::kQuiesced;
+  // Unblocked nodes keyed by next event time (stepping order) and by
+  // visible bound (the promise).
+  NodeHeap events;
+  NodeHeap bounds;
+  // The shard's lookahead: no node in its heaps has visible activity before
+  // `promise`, the live minimum of `bounds`. Raised by the owner without the
+  // mutex after every step; lowered only under it (inbox absorption).
+  std::atomic<SimTime> promise{kNever};
+  SimTime published = kNever;  // owner's copy of `promise`
+  // Guarded by the engine mutex.
+  bool idle = true;
+  std::vector<Node*> inbox;      // nodes the controller handed back
+  // Set when the inbox fills or the controller leaves this shard a drain of
+  // its own nodes; the stepping owner polls it without the mutex.
+  std::atomic<bool> attention{false};
+  SimTime inbox_bound = kNever;  // lower bound over the inbox's bounds
+  // This shard's blocked nodes still waiting for their drain (written under
+  // the mutex, polled by the owner for pacing).
+  std::atomic<int> lead{0};
+  bool sleeping = false;
+  // Bumped under the mutex whenever the shard may have new work or the run
+  // ended; a waiting thread spins on it before blocking on `cv`.
+  std::atomic<std::uint64_t> wakes{0};
   std::condition_variable_any cv;
   std::thread thread;
 };
 
-// The cluster controller plus its worker pool. The simulation advances in
-// alternating strides: workers race ahead to the arrival barrier while the
-// controller sleeps; the moment the earliest visible time C is globally
-// safe (every still-running shard's watermark has passed C), the controller
-// drains the batch at C — completions first, then placements, then parking
-// — in canonical node order, and resumes the involved shards. Arrivals are
-// handled only when every shard has quiesced at the barrier, which is
-// automatic: workers never dispatch past it. With shards == 1 the same
-// code runs inline on the calling thread and the watermark/condvar
-// machinery is bypassed entirely — that is the serial reference the
-// byte-identity contract is stated against.
+// The cluster controller and its shard loops, run by `shards` threads: the
+// calling thread runs shard 0, shards 1.. get a thread each, and there is
+// no dedicated controller thread. Every shard steps its nodes up to the
+// barrier (the next arrival not yet queued, capped by the cutoff) and
+// blocks a node at its first visible instant; whichever thread then finds a
+// controller action safe runs it under the engine mutex, except that a
+// drain goes to the thread owning the drained node (see
+// ControllerStepLocked). With shards == 1 the same loop runs inline on the
+// calling thread: the serial reference the byte-identity contract is
+// stated against.
 class ClusterEngine {
  public:
   ClusterEngine(const std::vector<JobSpec>& workload, const ClusterOptions& options)
@@ -183,8 +277,10 @@ class ClusterEngine {
       PDPA_CHECK_GE(workload[i].submit, workload[i - 1].submit)
           << "cluster workload must be submit-sorted";
     }
-    shard_count_ = std::min(std::max(options.shards, 1), options.num_nodes);
-    threaded_ = shard_count_ > 1;
+    total_ = static_cast<int>(workload.size());
+    cutoff_ = options.max_sim_time > 0 ? options.max_sim_time : kNever;
+    const int shard_count = std::min(std::max(options.shards, 1), options.num_nodes);
+    threaded_ = shard_count > 1;
     batch_ = options.arrival_batch;
     profiler_ = options.profiler;
     profile_source_ = options.profile_source
@@ -205,6 +301,10 @@ class ClusterEngine {
       controller_log_ = std::make_unique<EventLog>(&controller_sink_);
     }
 
+    queue_.reserve(workload.size());
+    outcomes_.reserve(workload.size());
+    outcome_nodes_.reserve(workload.size());
+    admitting_ = NodeSet(options.num_nodes);
     Rng rng(options.seed);
     ResourceManager::Params rm_params = options.rm_params;
     rm_params.num_cpus = options.cpus_per_node;
@@ -225,10 +325,10 @@ class ClusterEngine {
         raw->timeseries = std::make_unique<TimeSeriesSampler>();
         raw->rm->set_timeseries(raw->timeseries.get());
       }
-      if (profiler_ != nullptr && shard_count_ == 1) {
-        // Serial inline loop: node code runs on the controller thread, so
-        // the sim/rm/obs spans can share the controller's profiler. With
-        // worker threads they must stay dark (Profiler is single-writer).
+      if (profiler_ != nullptr && !threaded_) {
+        // Serial inline loop: node code runs on the one thread, so the
+        // sim/rm/obs spans can share the controller's profiler. With worker
+        // threads they must stay dark (Profiler is single-writer).
         raw->rm->set_profiler(profiler_);
         raw->sim.events().set_profiler(profiler_);
         if (raw->event_log != nullptr) {
@@ -245,117 +345,45 @@ class ClusterEngine {
         }
       });
       raw->admit_shadow = raw->rm->CanStartJob();
-      if (raw->admit_shadow) {
-        admitting_.insert(k);
-      }
+      admitting_.Assign(k, raw->admit_shadow);
       nodes_.push_back(std::move(node));
     }
 
-    shards_.reserve(static_cast<std::size_t>(shard_count_));
-    for (int s = 0; s < shard_count_; ++s) {
+    shards_.reserve(static_cast<std::size_t>(shard_count));
+    for (int s = 0; s < shard_count; ++s) {
       shards_.push_back(std::make_unique<Shard>());
-      shards_.back()->index = s;
     }
     shard_of_.reserve(nodes_.size());
     for (int k = 0; k < options.num_nodes; ++k) {
-      shard_of_.push_back(shards_[static_cast<std::size_t>(k % shard_count_)].get());
+      shard_of_.push_back(shards_[static_cast<std::size_t>(k % shard_count)].get());
     }
   }
 
   ClusterResult Run() {
-    const int total = static_cast<int>(workload_.size());
-    if (threaded_) {
-      for (auto& shard : shards_) {
-        Shard* s = shard.get();
-        s->thread = std::thread([this, s] { ShardLoop(*s); });
+    {
+      const MutexLock lock(&engine_mutex_);
+      UpdateBarrierLocked();
+      if (profiler_ != nullptr) {
+        idle_since_ns_ = prof::NowNanos();
       }
     }
-
-    const SimTime cutoff = options_.max_sim_time > 0 ? options_.max_sim_time : kNever;
-    while (completed_ < total) {
-      const SimTime arrival_t = arrival_ix_ < total
-                                    ? workload_[static_cast<std::size_t>(arrival_ix_)].submit
-                                    : kNever;
-      // Epoch selection. While no node admits (regime B), an arrival is a
-      // pure queue push that reads no node state, so the barrier jumps
-      // straight to the cutoff and pending arrivals are folded into the
-      // completion batches they precede. Otherwise (regime A) the next
-      // arrival re-barriers exactly as in the reference protocol; arrival
-      // batching then happens inside HandleArrivals' safe window.
-      const bool pure_enqueue = batch_ && admitting_.empty();
-      const SimTime barrier = pure_enqueue ? cutoff : std::min(arrival_t, cutoff);
-      barrier_.store(barrier);
-
-      SimTime visible = kNever;
-      {
-        ProfScope wait_scope(profiler_, SpanId::kClusterBarrierWait);
-        if (threaded_) {
-          std::unique_lock<Mutex> lock(engine_mutex_);
-          DispatchRunnableLocked(barrier);
-          visible = WaitActionableLocked(lock, barrier);
-        } else {
-          Shard& s = *shards_[0];
-          const SimTime top = s.state == ShardState::kQuiesced ? ValidTop(s) : kNever;
-          if (top != kNever && top <= barrier) {
-            s.state = AdvanceShard(s);
-          }
-          if (s.state == ShardState::kPausedVisible && s.visible_time <= barrier) {
-            visible = s.visible_time;
-          }
-        }
-      }
-
-      if (visible != kNever) {
-        DrainVisible(visible);
-        continue;
-      }
-      // Every shard has drained its work at or before the barrier. A pause
-      // beyond the barrier (left over from a wider regime-B epoch) stays
-      // parked: its nodes are provably absent from the admitting set, so no
-      // placement can touch them before their batch time becomes actionable.
-      if (arrival_t != kNever && arrival_t <= cutoff) {
-        HandleArrivals(arrival_t, cutoff);
-        continue;
-      }
-      // No arrival at or before the cutoff is left. With an unbounded
-      // cutoff this is the reference protocol's stuck condition (arrivals
-      // were all enqueued above, so the queue size diagnostic matches).
-      PDPA_CHECK(cutoff != kNever)
-          << "cluster stuck: " << queue_.size() << " queued jobs, no arrivals, no running work";
-      end_time_ = cutoff;
-      break;
+    for (std::size_t i = 1; i < shards_.size(); ++i) {
+      Shard* s = shards_[i].get();
+      s->thread = std::thread([this, s] { ShardMain(*s); });
     }
-
-    if (threaded_) {
-      std::unique_lock<Mutex> lock(engine_mutex_);
-      // Stragglers from a pipelined final batch quiesce on their own (all
-      // emptied nodes are parked, so no shard has work left).
-      notify_past_.store(kNever);
-      controller_cv_.wait(lock, [this] {
-        for (const auto& shard : shards_) {
-          if (shard->state == ShardState::kRunning) {
-            return false;
-          }
-        }
-        return true;
-      });
-      for (auto& shard : shards_) {
-        shard->state = ShardState::kExit;
-        shard->cv.notify_one();
-      }
-      lock.unlock();
-      for (auto& shard : shards_) {
-        shard->thread.join();
-      }
+    ShardMain(*shards_[0]);
+    for (std::size_t i = 1; i < shards_.size(); ++i) {
+      shards_[i]->thread.join();
     }
-
-    return Finalize(total);
+    return Finalize();
   }
 
  private:
   // --- shard side ---------------------------------------------------------
 
-  // (Re)queues `node` in its shard's heap if its next event time moved.
+  Shard& ShardOf(const Node& node) { return *shard_of_[static_cast<std::size_t>(node.index)]; }
+
+  // (Re)queues `node` in its shard's event heap if its next event moved.
   static void PushNode(Shard& s, Node& node) {
     const SimTime t = node.NextEventTime();
     if (t == kNever) {
@@ -366,222 +394,427 @@ class ClusterEngine {
       return;
     }
     node.queued_at = t;
-    s.heap.push(HeapEntry{t, &node});
+    s.events.push(HeapEntry{t, &node});
   }
 
-  // Controller-only (shard stopped): prunes stale entries, returns the next
-  // live event time.
+  // (Re)queues `node` in its shard's bound heap at node.bound.
+  static void PushBound(Shard& s, Node& node) {
+    if (node.bound == kNever) {
+      node.bound_at = kNever;
+      return;
+    }
+    if (node.bound_at == node.bound) {
+      return;
+    }
+    node.bound_at = node.bound;
+    s.bounds.push(HeapEntry{node.bound, &node});
+  }
+
+  // Owner (or controller, shard idle): prunes stale entries, returns the
+  // next live event time.
   static SimTime ValidTop(Shard& s) {
-    while (!s.heap.empty() && s.heap.top().t != s.heap.top().node->queued_at) {
-      s.heap.pop();
+    while (!s.events.empty() && s.events.top().t != s.events.top().node->queued_at) {
+      s.events.pop();
     }
-    return s.heap.empty() ? kNever : s.heap.top().t;
+    return s.events.empty() ? kNever : s.events.top().t;
   }
 
-  // Advances the shard's nodes one event at a time in (time, node) order
-  // until the next event would cross the barrier (quiesce) or lies beyond
-  // the first visible activity (pause — same-timestamp events drain first,
-  // so a pause at C means everything at or before C has run).
-  ShardState AdvanceShard(Shard& s) {
-    const SimTime barrier = barrier_.load();
-    bool pending_visible = false;
-    SimTime visible_time = kNever;
+  // Owner: prunes stale entries, returns the node with the lowest bound.
+  static Node* BoundTopNode(Shard& s) {
+    while (!s.bounds.empty() && s.bounds.top().t != s.bounds.top().node->bound_at) {
+      s.bounds.pop();
+    }
+    return s.bounds.empty() ? nullptr : s.bounds.top().node;
+  }
+
+  // Owner: recomputes and stores the shard's promise, returning the
+  // previous value.
+  static SimTime RefreshPromise(Shard& s) {
+    const SimTime old = s.published;
+    const Node* top = BoundTopNode(s);
+    s.published = top == nullptr ? kNever : top->bound_at;
+    if (s.published != old) {
+      s.promise.store(s.published);
+    }
+    return old;
+  }
+
+  std::unique_lock<Mutex> LockEngine() {
+    std::unique_lock<Mutex> lock(engine_mutex_, std::defer_lock);
+    SpinLock(lock);
+    return lock;
+  }
+
+  void ShardMain(Shard& s) {
+    std::unique_lock<Mutex> lock = LockEngine();
+    while (!done_) {
+      SettleLocked(s);
+      if (Due(ValidTop(s), barrier_.load())) {
+        s.idle = false;
+        lock.unlock();
+        {
+          // Serial runs time the stepping phase here, node spans nested;
+          // threaded runs account the controller's gaps instead (see
+          // BeginControllerAction).
+          ProfScope step_scope(threaded_ ? nullptr : profiler_, SpanId::kClusterBarrierWait);
+          AdvanceShard(s);
+        }
+        SpinLock(lock);
+        continue;
+      }
+      s.idle = true;
+      ControllerStepLocked(s);
+      if (done_ || !s.inbox.empty() || Due(ValidTop(s), barrier_.load())) {
+        continue;
+      }
+      WaitLocked(s, lock);
+    }
+  }
+
+  // Steps the shard's nodes one event at a time until nothing is left at or
+  // before the barrier. The node holding the promise down goes first, since
+  // the controller may be waiting on it; the rest follow in (time, node)
+  // order. Nodes are independent, so the order changes no output. A node
+  // with visible activity first runs its remaining events at the same
+  // instant, then blocks; the other nodes keep going.
+  void AdvanceShard(Shard& s) {
     for (;;) {
-      SimTime next_t = kNever;
-      Node* node = nullptr;
-      while (!s.heap.empty()) {
-        const HeapEntry& top = s.heap.top();
-        if (top.t != top.node->queued_at) {
-          s.heap.pop();
-          continue;
+      if (s.attention.load(std::memory_order_relaxed)) {
+        const std::unique_lock<Mutex> lock = LockEngine();
+        SettleLocked(s);
+      }
+      const SimTime barrier = barrier_.load(std::memory_order_acquire);
+      Node* next = BoundTopNode(s);
+      if (next != nullptr && !Due(next->queued_at, barrier)) {
+        next = nullptr;
+      }
+      const SimTime top = ValidTop(s);  // also prunes stale entries
+      if (next == nullptr) {
+        if (!Due(top, barrier)) {
+          return;
         }
-        next_t = top.t;
-        node = top.node;
-        break;
+        next = s.events.top().node;
       }
-      if (pending_visible && next_t > visible_time) {
-        s.visible_time = visible_time;
-        return ShardState::kPausedVisible;
+      if (threaded_ && WaitWhilePaced(s, *next)) {
+        continue;
       }
-      // kNever (drained heap) quiesces even against a kNever barrier.
-      if (next_t == kNever || next_t > barrier) {
-        return ShardState::kQuiesced;
-      }
-      if (threaded_) {
-        PublishWatermark(s, next_t);
-      }
-      s.heap.pop();
-      node->queued_at = kNever;
-      node->sim.Step();
-      if (!node->in_visible_list && node->HasVisible()) {
-        node->in_visible_list = true;
-        s.visible_nodes.push_back(node);
-        if (!pending_visible) {
-          pending_visible = true;
-          visible_time = next_t;
+      Node& node = *next;
+      const SimTime t = node.queued_at;
+      node.queued_at = kNever;
+      node.sim.Step();
+      if (node.HasVisible()) {
+        while (node.NextEventTime() == t) {
+          node.sim.Step();
         }
+        BlockNode(s, node, t);
+        continue;
       }
+      PushNode(s, node);
+      node.bound = std::max(node.bound, FromHorizon(node.rm->NextVisibleBound()));
+      PushBound(s, node);
+      const SimTime old = RefreshPromise(s);
+      // The promise just passed the instant the controller waits on: this
+      // shard may have been the last one holding it back. The seq_cst
+      // store above and load here pair with ControllerStepLocked's arm-then-
+      // read, so one side always sees the other.
+      const SimTime armed = armed_.load();
+      if (old <= armed && s.published > armed) {
+        const std::unique_lock<Mutex> lock = LockEngine();
+        SettleLocked(s);
+      }
+    }
+  }
+
+  // Threaded runs hold back work no drain waits on (a node whose bound lies
+  // past the armed instant) while kMaxLead of the shard's nodes already wait
+  // for their drain. Spins until that changes and returns true to re-pick, or
+  // returns false to step `next` anyway.
+  bool WaitWhilePaced(Shard& s, const Node& next) {
+    const SimTime armed = armed_.load(std::memory_order_relaxed);
+    const auto paced = [&] {
+      return !s.attention.load(std::memory_order_relaxed) &&
+             armed_.load(std::memory_order_relaxed) == armed &&
+             s.lead.load(std::memory_order_relaxed) >= kMaxLead;
+    };
+    if (next.bound <= armed || !paced()) {
+      return false;
+    }
+    for (int i = 0; i < kSpinRounds; ++i) {
+      if (!paced()) {
+        return true;
+      }
+      CpuRelax();
+    }
+    return false;
+  }
+
+  // Hands a node with visible activity at `t` to the controller.
+  void BlockNode(Shard& s, Node& node, SimTime t) {
+#ifdef PDPA_AUDIT
+    PDPA_CHECK_GE(t, node.bound) << "node " << node.index << " acted at " << t
+                                 << " before its published bound " << node.bound;
+#endif
+    node.bound_at = kNever;
+    const std::unique_lock<Mutex> lock = LockEngine();
+    blocked_.push(HeapEntry{t, &node});
+    s.lead.fetch_add(1, std::memory_order_relaxed);
+    RefreshPromise(s);
+    SettleLocked(s);
+  }
+
+  // Takes back the nodes the controller returned to this shard.
+  static bool AbsorbInboxLocked(Shard& s) {
+    if (s.inbox.empty()) {
+      return false;
+    }
+    for (Node* node : s.inbox) {
+      node->in_inbox = false;
       PushNode(s, *node);
+      PushBound(s, *node);
+    }
+    s.inbox.clear();
+    RefreshPromise(s);
+    s.inbox_bound = kNever;
+    return true;
+  }
+
+  // Runs the controller and takes back what it returned, until neither has
+  // anything left: absorbing can raise the effective promise (a node handed
+  // back twice keeps its older, lower inbox bound until absorbed).
+  void SettleLocked(Shard& s) {
+    s.attention.store(false, std::memory_order_relaxed);
+    do {
+      ControllerStepLocked(s);
+    } while (AbsorbInboxLocked(s));
+  }
+
+  void WaitLocked(Shard& s, std::unique_lock<Mutex>& lock) {
+    PDPA_CHECK(threaded_) << "serial cluster loop has nothing left to run";
+    const std::uint64_t seen = s.wakes.load(std::memory_order_relaxed);
+    lock.unlock();
+    for (int i = 0; i < kSpinRounds && s.wakes.load(std::memory_order_acquire) == seen; ++i) {
+      CpuRelax();
+    }
+    SpinLock(lock);
+    while (s.wakes.load(std::memory_order_relaxed) == seen) {
+      s.sleeping = true;
+      s.cv.wait(lock);
+      s.sleeping = false;
     }
   }
 
-  // Publishes shard progress and pokes the controller exactly when the
-  // watermark crosses the armed batch time. The empty mutex section pairs
-  // with the controller holding the mutex from arming through wait, closing
-  // the lost-wakeup window.
-  void PublishWatermark(Shard& s, SimTime next_t) {
-    const SimTime prev = s.watermark.load(std::memory_order_relaxed);
-    s.watermark.store(next_t);
-    const SimTime armed = notify_past_.load();
-    if (prev <= armed && next_t > armed) {
-      { const MutexLock guard(&engine_mutex_); }
-      controller_cv_.notify_one();
-    }
-  }
-
-  void ShardLoop(Shard& s) {
-    std::unique_lock<Mutex> lock(engine_mutex_);
-    for (;;) {
-      s.cv.wait(lock,
-                [&s] { return s.state == ShardState::kRunning || s.state == ShardState::kExit; });
-      if (s.state == ShardState::kExit) {
-        return;
-      }
-      lock.unlock();
-      const ShardState next = AdvanceShard(s);
-      lock.lock();
-      s.state = next;
-      controller_cv_.notify_one();
-    }
-  }
-
-  // --- controller side ----------------------------------------------------
-
-  void DispatchRunnableLocked(SimTime barrier) {
-    for (auto& shard : shards_) {
-      Shard& s = *shard;
-      if (s.state != ShardState::kQuiesced) {
-        continue;
-      }
-      const SimTime top = ValidTop(s);
-      if (top == kNever || top > barrier) {
-        continue;
-      }
-      // Conservative reset: the worker publishes a real watermark on its
-      // first dispatch; a stale high value must not fake batch readiness.
-      s.watermark.store(0);
-      s.state = ShardState::kRunning;
+  static void WakeLocked(Shard& s) {
+    s.wakes.fetch_add(1, std::memory_order_release);
+    if (s.sleeping) {
       s.cv.notify_one();
     }
   }
 
-  // Blocks until either the earliest visible time C <= barrier is globally
-  // safe (returned) or every shard has quiesced at the barrier (kNever). A
-  // pause beyond the barrier — left over from a wider regime-B epoch — is
-  // not actionable this cycle and does not count as running either: its
-  // batch drains in a later cycle once the barrier catches up to it.
-  SimTime WaitActionableLocked(std::unique_lock<Mutex>& lock, SimTime barrier) {
-    for (;;) {
-      SimTime candidate = kNever;
-      bool any_running = false;
-      for (const auto& shard : shards_) {
-        if (shard->state == ShardState::kPausedVisible && shard->visible_time <= barrier) {
-          candidate = std::min(candidate, shard->visible_time);
-        } else if (shard->state == ShardState::kRunning) {
-          any_running = true;
-        }
+  // --- controller side (engine mutex held) --------------------------------
+
+  // Runs every controller action the shards' published progress makes
+  // safe, in canonical order, and arms `armed_` with the instant it then
+  // waits on. Any thread that may have enabled an action calls it: a node
+  // blocking, a promise passing the armed instant, a shard going idle.
+  //
+  // Actions, earliest first:
+  //   * While no node admits (and batching is on), an arrival is a pure
+  //     queue push that reads no node state: every arrival strictly before
+  //     the earliest possible visible instant (the blocked minimum and every
+  //     shard's promise) is queued at once.
+  //   * A drain at the earliest blocked instant C, once every shard's
+  //     promise lies past C: no node can still produce visible activity at
+  //     or before C, so the batch is complete. It runs on the thread whose
+  //     shard owns the batch's first node; any other thread wakes it.
+  //   * Otherwise, once every shard is idle with nothing left at or before
+  //     the barrier: the arrival at the barrier (placements), or the end of
+  //     the run.
+  void ControllerStepLocked(Shard& self) {
+    bool acted = false;
+    while (!done_) {
+      if (completed_ == total_) {
+        FinishLocked();
+        break;
       }
-      // Arm before scanning watermarks: a worker that crosses `candidate`
-      // after our scan is then guaranteed to observe the armed value and
-      // notify.
-      notify_past_.store(candidate);
-      if (candidate != kNever) {
-        bool safe = true;
-        for (const auto& shard : shards_) {
-          if (shard->state == ShardState::kRunning && shard->watermark.load() <= candidate) {
-            safe = false;
-            break;
-          }
+      const SimTime c = blocked_.empty() ? kNever : blocked_.top().t;
+      const SimTime arrival = NextArrival();
+      if (batch_ && admitting_.empty() && arrival < c) {
+        armed_.store(arrival);
+        const SimTime promise = MinPromiseLocked();
+        if (arrival >= promise) {
+          break;
         }
-        if (safe) {
-          return candidate;
-        }
-      } else if (!any_running) {
-        return kNever;
+        BeginControllerAction(&acted);
+        QueueArrivalsBefore(std::min(promise, c));
+        UpdateBarrierLocked();
+        continue;
       }
-      controller_cv_.wait(lock);
+      if (c != kNever) {
+        armed_.store(c);
+        if (c >= MinPromiseLocked()) {
+          break;
+        }
+        Shard& owner = ShardOf(*blocked_.top().node);
+        if (&owner != &self) {
+          // The owner drains its own node: placement and the steps that
+          // follow then run on the core that holds the node's state.
+          owner.attention.store(true, std::memory_order_relaxed);
+          WakeLocked(owner);
+          break;
+        }
+        BeginControllerAction(&acted);
+        DrainLocked(c);
+        UpdateBarrierLocked();
+        continue;
+      }
+      armed_.store(kNever);
+      if (!AllQuiescedLocked()) {
+        break;
+      }
+      BeginControllerAction(&acted);
+      if (arrival != kNever) {
+        HandleArrivals(arrival);
+        UpdateBarrierLocked();
+        continue;
+      }
+      // No arrival at or before the cutoff is left and every node has run
+      // everything up to the barrier. With an unbounded cutoff that means
+      // nothing can ever finish the queued jobs.
+      PDPA_CHECK(cutoff_ != kNever)
+          << "cluster stuck: " << queue_.size() - queue_head_
+          << " queued jobs, no arrivals, no running work";
+      if (pending_arrivals_ > 0) {
+        // The reference protocol queues these in one final arrival cycle,
+        // whose first group is not a batched one.
+        arrival_batches_->Increment();
+        batched_arrivals_->Increment(pending_arrivals_ - pending_first_group_);
+        pending_arrivals_ = 0;
+      }
+      end_time_ = cutoff_;
+      FinishLocked();
+    }
+    if (acted) {
+      EndControllerAction();
     }
   }
 
-  // Handles the visible batch at `t` and then — regime B only — keeps
-  // draining successive globally-safe pause times in the same controller
-  // wakeup. Coalescing t2 is safe when every quiesced shard's next live
-  // event and every running shard's watermark lie strictly beyond t2: no
-  // shard can then produce an event at or before t2 that is not already
-  // part of t2's paused batches. Watermarks are monotone, so the lock-held
-  // scan cannot race with a worker crossing t2 afterwards. The loop exits
-  // on a regime switch (some node admits again — the outer loop must
-  // re-barrier at the next arrival) and hands a not-yet-safe t2 back to
-  // the outer loop, which arms notify_past_ and waits properly. Drains stay
-  // globally ascending in time in both modes, so the batch counters are
-  // shard-count-invariant.
-  void DrainVisible(SimTime t) {
-    for (;;) {
-      if (batch_) {
-        EnqueueArrivalsBefore(t);
-      }
-      {
-        ProfScope drain_scope(profiler_, SpanId::kClusterDrain);
-        HandleVisibleBatch(t);
-      }
-      if (!batch_ || !admitting_.empty()) {
-        return;
-      }
-      SimTime t2 = kNever;
-      {
-        std::unique_lock<Mutex> lock(engine_mutex_, std::defer_lock);
-        if (threaded_) {
-          lock.lock();
-        }
-        for (const auto& shard : shards_) {
-          if (shard->state == ShardState::kPausedVisible) {
-            t2 = std::min(t2, shard->visible_time);
-          }
-        }
-        if (t2 == kNever) {
-          return;
-        }
-        for (const auto& shard : shards_) {
-          Shard& s = *shard;
-          if (s.state == ShardState::kQuiesced && ValidTop(s) <= t2) {
-            return;  // a shard needs a redispatch below t2 first
-          }
-          if (s.state == ShardState::kRunning && s.watermark.load() <= t2) {
-            return;  // not yet provably safe; the outer loop waits for it
-          }
-        }
-      }
-      t = t2;
-    }
-  }
-
-  // Regime-B feeder: while no node admits, an arrival strictly before the
-  // completion batch at `t` is a pure queue push that reads no node state,
-  // logged and counted exactly as its own barrier cycle would have done
-  // (submits before t precede finishes at t; arrivals at t itself wait
-  // until after the batch, matching the reference finish-before-submit tie
-  // order).
-  void EnqueueArrivalsBefore(SimTime t) {
-    const int total = static_cast<int>(workload_.size());
-    if (arrival_ix_ >= total || workload_[static_cast<std::size_t>(arrival_ix_)].submit >= t) {
+  // Threaded runs account cluster.barrier_wait as the controller's idle gap
+  // between actions (wherever they run); serial runs time the stepping
+  // phase in ShardMain instead.
+  void BeginControllerAction(bool* acted) {
+    if (*acted) {
       return;
     }
-    arrival_batches_->Increment();
-    while (arrival_ix_ < total && workload_[static_cast<std::size_t>(arrival_ix_)].submit < t) {
+    *acted = true;
+    if (threaded_ && profiler_ != nullptr) {
+      const long long gap = prof::NowNanos() - idle_since_ns_;
+      SpanStats& stats = profiler_->stats(SpanId::kClusterBarrierWait);
+      stats.hits += 1;
+      stats.total_ns += gap;
+      stats.self_ns += gap;
+    }
+  }
+
+  void EndControllerAction() {
+    if (controller_log_ != nullptr) {
+      controller_log_->HandoffConfinement();  // the next action may run elsewhere
+    }
+    if (threaded_ && profiler_ != nullptr) {
+      idle_since_ns_ = prof::NowNanos();
+    }
+  }
+
+  void FinishLocked() {
+    done_ = true;
+    for (auto& shard : shards_) {
+      WakeLocked(*shard);
+    }
+  }
+
+  // Next arrival not yet queued, if it lies at or before the cutoff.
+  SimTime NextArrival() const {
+    if (arrival_ix_ >= total_) {
+      return kNever;
+    }
+    const SimTime t = workload_[static_cast<std::size_t>(arrival_ix_)].submit;
+    return t <= cutoff_ ? t : kNever;
+  }
+
+  // The barrier only rises: arrivals are queued in submit order.
+  void UpdateBarrierLocked() {
+    const SimTime next = arrival_ix_ < total_
+                             ? workload_[static_cast<std::size_t>(arrival_ix_)].submit
+                             : kNever;
+    const SimTime barrier = std::min(next, cutoff_);
+    if (barrier == barrier_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    barrier_.store(barrier, std::memory_order_release);
+    for (auto& shard : shards_) {
+      if (shard->idle && Due(ValidTop(*shard), barrier)) {
+        WakeLocked(*shard);
+      }
+    }
+  }
+
+  SimTime MinPromiseLocked() const {
+    SimTime p = kNever;
+    for (const auto& shard : shards_) {
+      p = std::min({p, shard->promise.load(), shard->inbox_bound});
+    }
+    return p;
+  }
+
+  // Next event time over a shard's nodes, its inbox included. Shard idle.
+  static SimTime FrontierLocked(Shard& s) {
+    SimTime t = ValidTop(s);
+    for (Node* node : s.inbox) {
+      t = std::min(t, node->NextEventTime());
+    }
+    return t;
+  }
+
+  bool AllQuiescedLocked() {
+    const SimTime barrier = barrier_.load(std::memory_order_relaxed);
+    for (auto& shard : shards_) {
+      if (!shard->idle || Due(FrontierLocked(*shard), barrier)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Earliest instant any node could produce an event. Every shard is idle
+  // and has run everything up to the barrier, so every node's clock stands
+  // exactly at the controller's: this is the serial loop's next heap entry.
+  SimTime EarliestClusterEventLocked() {
+    SimTime e = kNever;
+    for (auto& shard : shards_) {
+      e = std::min(e, FrontierLocked(*shard));
+    }
+    return e;
+  }
+
+  // Regime-B feeder: queues every arrival strictly before `limit`, logged
+  // and counted as its own arrival cycle would have done. The batch is
+  // closed at the next drain (every queued arrival precedes it) or at the
+  // end of the run.
+  void QueueArrivalsBefore(SimTime limit) {
+    while (arrival_ix_ < total_) {
       const JobSpec& spec = workload_[static_cast<std::size_t>(arrival_ix_)];
+      if (spec.submit >= limit || spec.submit > cutoff_) {
+        return;
+      }
       ++arrival_ix_;
       arrivals_->Increment();
-      batched_arrivals_->Increment();
+      if (pending_arrivals_ == 0) {
+        pending_first_submit_ = spec.submit;
+        pending_first_group_ = 0;
+      }
+      if (spec.submit == pending_first_submit_) {
+        ++pending_first_group_;
+      }
+      ++pending_arrivals_;
       if (controller_log_ != nullptr) {
         controller_log_->JobSubmit(spec.submit, spec.id, AppClassName(spec.app_class),
                                    spec.request, spec.rigid);
@@ -590,48 +823,29 @@ class ClusterEngine {
     }
   }
 
-  // Earliest instant any node could produce an event, over all shards: a
-  // paused shard's next activity is its undrained visible time (its heap
-  // top is strictly later), a quiesced shard's is its next live heap entry.
-  // Controller-only, with no shard running.
-  SimTime EarliestClusterEvent() {
-    SimTime e = kNever;
-    for (const auto& shard : shards_) {
-      Shard& s = *shard;
-      e = std::min(e, s.state == ShardState::kPausedVisible ? s.visible_time : ValidTop(s));
-    }
-    return e;
-  }
-
-  // Drains every shard paused at exactly `t`: records completions, syncs
+  // Drains every node blocked at exactly `t`: records completions, syncs
   // admission, places queued jobs, parks emptied nodes — all in canonical
-  // (time, node-index) order — then resumes the involved shards.
-  void HandleVisibleBatch(SimTime t) {
+  // (time, node-index) order — then hands the nodes back to their shards.
+  // Arrivals queued since the previous drain all precede `t` and count as
+  // one arrival batch (submits before t precede finishes at t; arrivals at
+  // t itself wait until after the batch, the reference finish-before-submit
+  // tie order).
+  void DrainLocked(SimTime t) {
+    if (pending_arrivals_ > 0) {
+      arrival_batches_->Increment();
+      batched_arrivals_->Increment(pending_arrivals_);
+      pending_arrivals_ = 0;
+    }
+    ProfScope drain_scope(profiler_, SpanId::kClusterDrain);
     completion_batches_->Increment();
-    batch_shards_.clear();
     batch_nodes_.clear();
-    {
-      std::unique_lock<Mutex> lock(engine_mutex_, std::defer_lock);
-      if (threaded_) {
-        lock.lock();
-      }
-      for (auto& shard : shards_) {
-        if (shard->state == ShardState::kPausedVisible && shard->visible_time == t) {
-          batch_shards_.push_back(shard.get());
-        }
-      }
+    while (!blocked_.empty() && blocked_.top().t == t) {
+      Node* node = blocked_.top().node;
+      blocked_.pop();
+      batch_nodes_.push_back(node);
+      ShardOf(*node).lead.fetch_sub(1, std::memory_order_relaxed);
     }
-    for (Shard* s : batch_shards_) {
-      for (Node* node : s->visible_nodes) {
-        batch_nodes_.push_back(node);
-      }
-      s->visible_nodes.clear();
-    }
-    std::sort(batch_nodes_.begin(), batch_nodes_.end(),
-              [](const Node* a, const Node* b) { return a->index < b->index; });
-
     for (Node* node : batch_nodes_) {
-      node->in_visible_list = false;
       if (!node->finished_local.empty()) {
         end_time_ = t;
       }
@@ -654,7 +868,7 @@ class ClusterEngine {
       }
       node->finished_local.clear();
       node->admit_changed = false;
-      SetAdmitting(node->index, node->admit_shadow);
+      admitting_.Assign(node->index, node->admit_shadow);
     }
 
     TryStartJobs(t);
@@ -662,33 +876,24 @@ class ClusterEngine {
       MaybePark(*node);
     }
     ReleaseTouchedNodes();
-
-    {
-      std::unique_lock<Mutex> lock(engine_mutex_, std::defer_lock);
-      if (threaded_) {
-        lock.lock();
-      }
-      for (Shard* s : batch_shards_) {
-        s->visible_time = kNever;
-        s->state = ShardState::kQuiesced;
-      }
+    for (Node* node : batch_nodes_) {
+      ReturnNode(*node);
     }
   }
 
-  // All shards have drained at or before the barrier and the arrival at t
-  // is due: enqueue every arrival at t (workload order), place, and — with
+  // Every shard has run everything up to the barrier and the arrival at t
+  // is due: queue every arrival at t (workload order), place, and — with
   // batching on — keep consuming later arrival groups while each strictly
   // precedes the earliest possible node event E (recomputed after every
   // group's placements). Inside the window no node can produce any event,
   // so the controller state each rr/mf/ll decision reads is exactly the
   // state the one-arrival-per-barrier protocol would read at that group's
   // own barrier cycle — placements are byte-identical.
-  void HandleArrivals(SimTime t, SimTime cutoff) {
+  void HandleArrivals(SimTime t) {
     arrival_batches_->Increment();
-    const int total = static_cast<int>(workload_.size());
     bool first_group = true;
     for (;;) {
-      while (arrival_ix_ < total &&
+      while (arrival_ix_ < total_ &&
              workload_[static_cast<std::size_t>(arrival_ix_)].submit == t) {
         const JobSpec& spec = workload_[static_cast<std::size_t>(arrival_ix_)];
         ++arrival_ix_;
@@ -704,12 +909,12 @@ class ClusterEngine {
       }
       TryStartJobs(t);
       ReleaseTouchedNodes();
-      if (!batch_ || arrival_ix_ >= total) {
+      if (!batch_ || arrival_ix_ >= total_) {
         return;
       }
       first_group = false;
       const SimTime next_t = workload_[static_cast<std::size_t>(arrival_ix_)].submit;
-      if (next_t > cutoff || next_t >= EarliestClusterEvent()) {
+      if (next_t > cutoff_ || next_t >= EarliestClusterEventLocked()) {
         return;
       }
       t = next_t;
@@ -717,14 +922,12 @@ class ClusterEngine {
   }
 
   void TryStartJobs(SimTime now) {
-    while (!queue_.empty()) {
+    while (queue_head_ < queue_.size()) {
       const int k = ChooseNode();
       if (k < 0) {
         return;
       }
-      const JobSpec* spec = queue_.front();
-      queue_.pop_front();
-      PlaceJob(*spec, k, now);
+      PlaceJob(*queue_[queue_head_++], k, now);
     }
   }
 
@@ -736,18 +939,17 @@ class ClusterEngine {
     }
     switch (options_.placement) {
       case PlacementPolicy::kRoundRobin: {
-        auto it = admitting_.lower_bound(rr_next_);
-        if (it == admitting_.end()) {
-          it = admitting_.begin();
+        int k = admitting_.NextFrom(rr_next_);
+        if (k < 0) {
+          k = admitting_.NextFrom(0);
         }
-        const int k = *it;
         rr_next_ = (k + 1) % options_.num_nodes;
         return k;
       }
       case PlacementPolicy::kMostFreeCpus: {
         int best = -1;
         int best_free = -1;
-        for (const int k : admitting_) {
+        for (int k = admitting_.NextFrom(0); k >= 0; k = admitting_.NextFrom(k + 1)) {
           const int free = nodes_[static_cast<std::size_t>(k)]->rm->machine().FreeCpus();
           if (free > best_free) {
             best_free = free;
@@ -762,7 +964,7 @@ class ClusterEngine {
       case PlacementPolicy::kLeastLoaded: {
         int best = -1;
         int best_running = 0;
-        for (const int k : admitting_) {
+        for (int k = admitting_.NextFrom(0); k >= 0; k = admitting_.NextFrom(k + 1)) {
           const int running = nodes_[static_cast<std::size_t>(k)]->rm->running_jobs();
           if (best < 0 || running < best_running) {
             best_running = running;
@@ -786,8 +988,8 @@ class ClusterEngine {
       WakeNode(node, now);
     } else if (node.sim.now() < now) {
       // Idle-but-started node lagging the controller clock; nothing can be
-      // pending before `now` (its shard drained everything at or before the
-      // handled time), so the warp is safe.
+      // pending before `now` (its shard ran everything up to the barrier),
+      // so the warp is safe.
       node.sim.AdvanceTo(now);
     }
     const JobId local = static_cast<JobId>(node.local_spec.size());
@@ -809,8 +1011,7 @@ class ClusterEngine {
     }
     node.admit_shadow = node.rm->CanStartJob();
     node.admit_changed = false;
-    SetAdmitting(k, node.admit_shadow);
-    PushNode(*shard_of_[static_cast<std::size_t>(k)], node);
+    admitting_.Assign(k, node.admit_shadow);
   }
 
   void WakeNode(Node& node, SimTime t) {
@@ -830,20 +1031,11 @@ class ClusterEngine {
     PDPA_CHECK(node.sim.events().empty())
         << "node " << node.index << " still has events after Stop()";
     node.started = false;
-    node.queued_at = kNever;
     parks_->Increment();
   }
 
-  void SetAdmitting(int k, bool admit) {
-    if (admit) {
-      admitting_.insert(k);
-    } else {
-      admitting_.erase(k);
-    }
-  }
-
-  // Claims a node's log sinks for the controller thread (audit builds) and
-  // remembers to release them before the node's shard resumes.
+  // Claims a node's log sinks for this thread (audit builds) and remembers
+  // to release them before the node goes back to its shard.
   void TouchNode(Node& node) {
     node.HandoffSinks();
     touched_nodes_.push_back(&node);
@@ -852,11 +1044,36 @@ class ClusterEngine {
   void ReleaseTouchedNodes() {
     for (Node* node : touched_nodes_) {
       node->HandoffSinks();
+      ReturnNode(*node);
     }
     touched_nodes_.clear();
   }
 
-  ClusterResult Finalize(int total) {
+  // Hands a node the controller changed back to its shard's inbox with a
+  // fresh bound. A parked node has nothing to run and stays out.
+  void ReturnNode(Node& node) {
+    Shard& s = ShardOf(node);
+    if (node.queued_at != kNever || node.bound_at != kNever) {
+      // Still in the heaps: an arrival placement, made while every shard
+      // is idle. A blocked node has no live entries.
+      PDPA_CHECK(s.idle) << "controller touched node " << node.index << " of a running shard";
+      node.queued_at = kNever;
+      node.bound_at = kNever;
+    }
+    node.bound = FromHorizon(node.rm->NextVisibleBound());
+    if (!node.in_inbox) {
+      if (node.NextEventTime() == kNever) {
+        return;
+      }
+      node.in_inbox = true;
+      s.inbox.push_back(&node);
+      s.attention.store(true, std::memory_order_relaxed);
+      WakeLocked(s);
+    }
+    s.inbox_bound = std::min(s.inbox_bound, node.bound);
+  }
+
+  ClusterResult Finalize() {
     // Cutoff path: nodes may still be running jobs. Advance each to the
     // cutoff (its remaining events are all beyond it) and flush.
     for (auto& node_ptr : nodes_) {
@@ -872,15 +1089,15 @@ class ClusterEngine {
       node.started = false;
     }
     if (controller_log_ != nullptr) {
-      controller_log_->RunEnd(end_time_, total, completed_ == total);
+      controller_log_->RunEnd(end_time_, total_, completed_ == total_);
     }
 
     ClusterResult result;
     result.outcomes = std::move(outcomes_);
     result.outcome_nodes = std::move(outcome_nodes_);
-    result.completed = completed_ == total;
+    result.completed = completed_ == total_;
     result.end_time = end_time_;
-    result.shards_used = shard_count_;
+    result.shards_used = static_cast<int>(shards_.size());
     result.max_node_running = max_node_running_;
     for (auto& node_ptr : nodes_) {
       Node& node = *node_ptr;
@@ -928,12 +1145,13 @@ class ClusterEngine {
 
   const std::vector<JobSpec>& workload_;
   const ClusterOptions& options_;
-  int shard_count_ = 1;
+  int total_ = 0;
+  SimTime cutoff_ = kNever;
   bool threaded_ = false;
   // Epoch batching enabled (ClusterOptions::arrival_batch). Off restores the
   // historical one-arrival-per-barrier protocol bit for bit.
   bool batch_ = true;
-  // Controller-thread profiler; null when profiling is off.
+  // Controller profiler; null when profiling is off.
   Profiler* profiler_ = nullptr;
   std::function<const AppProfile&(AppClass)> profile_source_;
 
@@ -954,9 +1172,15 @@ class ClusterEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Shard*> shard_of_;
 
-  // Controller scheduling state.
-  std::set<int> admitting_;
-  std::deque<const JobSpec*> queue_;
+  // Controller state. Everything from here to the mutex is guarded by the
+  // engine mutex (uncontended when shards == 1).
+  NodeSet admitting_;
+  // FIFO of submitted, unplaced jobs: queue_[queue_head_..]. Jobs are
+  // queued in workload order, so the whole run fits the capacity reserved
+  // up front — the controller allocates nothing per job, whichever thread
+  // runs it.
+  std::vector<const JobSpec*> queue_;
+  std::size_t queue_head_ = 0;
   int rr_next_ = 0;
   int arrival_ix_ = 0;
   int completed_ = 0;
@@ -964,22 +1188,30 @@ class ClusterEngine {
   int max_node_running_ = 0;
   std::vector<JobOutcome> outcomes_;
   std::vector<int> outcome_nodes_;
-  std::vector<Shard*> batch_shards_;
   std::vector<Node*> batch_nodes_;
   std::vector<Node*> touched_nodes_;
+  // Nodes blocked on visible activity, awaiting their drain.
+  NodeHeap blocked_;
+  // Regime-B arrivals queued since the last drain, and how many of them
+  // share the first one's submit time.
+  long long pending_arrivals_ = 0;
+  long long pending_first_group_ = 0;
+  SimTime pending_first_submit_ = 0;
+  bool done_ = false;
+  long long idle_since_ns_ = 0;
 
-  // Cross-thread coordination (threaded mode only). Ranked above the fork
-  // group lock (a worker may enter the engine while its sweep cell holds no
-  // other lock) and below the Registry: the engine never holds this across
-  // counter registration (DESIGN.md §8). std::unique_lock via the
-  // BasicLockable aliases, because the controller/shard wait loops need
-  // condition_variable_any.
+  // Ranked above the fork group lock (a shard thread may enter the engine
+  // while its sweep cell holds no other lock) and below the Registry: the
+  // engine never holds this across counter registration (DESIGN.md §8).
+  // std::unique_lock via the BasicLockable aliases, because the shard wait
+  // loop needs condition_variable_any.
   Mutex engine_mutex_{PDPA_LOCK_RANK(30)};
-  std::condition_variable_any controller_cv_;
+  // Stepping limit: the next arrival not yet queued, capped by the cutoff.
+  // Written under the mutex, read by stepping shards; it only rises.
   std::atomic<SimTime> barrier_{0};
-  // The batch time the controller is currently waiting on; workers notify
-  // when their watermark first crosses it.
-  std::atomic<SimTime> notify_past_{kNever};
+  // The instant the controller waits for every promise to pass (a blocked
+  // batch, or a regime-B arrival); kNever when it waits on idleness.
+  std::atomic<SimTime> armed_{kNever};
 };
 
 }  // namespace

@@ -12,24 +12,27 @@
 // Sharded execution (DESIGN.md §13): every node owns a private Simulation
 // and advances independently, so the cluster is a conservative parallel
 // discrete-event simulation. Nodes are partitioned over `shards` event
-// loops (node k lives on shard k % shards); each shard interleaves its
-// nodes one event at a time in global (time, node) order and runs freely up
-// to the controller's barrier, before which no new cross-node interaction
-// can possibly occur. The only cross-node facts are job completions and
-// admission flips, which shards surface to the controller at their exact
-// timestamps; the controller handles each completion batch, places queued
-// jobs, and resumes. Every controller decision is made in canonical
-// (time, node-index) order regardless of the shard count, so a run with
-// `shards == 1` (which executes inline on the calling thread, with zero
-// synchronization) and a run with N worker threads produce byte-identical
-// event logs, time-series CSVs and counters. tests/cluster_test.cc asserts
+// loops (node k lives on shard k % shards), run by `shards` threads; there
+// is no dedicated controller thread. The only cross-node facts are job
+// completions and admission flips ("visible" activity). Every node
+// publishes a lower bound on its next visible instant
+// (ResourceManager::NextVisibleBound: a completion tick in closed form for
+// settled passive-policy nodes, else its next event time), and a shard's
+// promise is the minimum over its unblocked nodes. A shard steps its nodes
+// up to the next arrival not yet queued and blocks only a node with visible
+// activity; the controller drains the batch at C as soon as every promise
+// lies past C — it never waits for a shard to reach C. Every controller
+// decision is made in canonical (time, node-index) order regardless of the
+// shard count, so a run with `shards == 1` (the same loop, inline on the
+// calling thread) and a run with N threads produce byte-identical event
+// logs, time-series CSVs and counters. tests/cluster_test.cc asserts
 // exactly that.
 //
-// Epoch batching (default on, `arrival_batch`): instead of re-barriering at
-// every single arrival, the controller batches arrivals inside provably
-// safe windows — while no node admits, arrivals are pure queue pushes and
-// the barrier jumps straight to the cutoff; while nodes admit, successive
-// arrival groups are placed in one quiesced cycle as long as each group
+// Epoch batching (default on, `arrival_batch`): instead of synchronizing
+// every shard at every arrival, the controller batches arrivals inside
+// provably safe windows — while no node admits, arrivals are pure queue
+// pushes made as soon as every promise lies past them; while nodes admit,
+// successive arrival groups are placed in one cycle as long as each group
 // precedes the earliest possible node event. Placements are applied in the
 // same canonical (time, node-index) order either way, so batched runs are
 // byte-identical to the one-arrival-per-barrier protocol (`arrival_batch =
@@ -84,8 +87,9 @@ struct ClusterOptions {
   ResourceManager::Params rm_params;
   // Root seed; node k's RM gets the k-th fork, independent of sharding.
   std::uint64_t seed = 1;
-  // Worker event loops. 1 (the default) runs the whole cluster inline on
-  // the calling thread — the serial reference. Clamped to [1, num_nodes].
+  // Event loops, one thread each (the calling thread runs the first). 1
+  // (the default) runs the whole cluster inline on the calling thread — the
+  // serial reference. Clamped to [1, num_nodes].
   int shards = 1;
   // Simulation-time cutoff; 0 means run until the workload drains.
   SimTime max_sim_time = 0;
@@ -94,11 +98,12 @@ struct ClusterOptions {
   // cluster tests compare against; outputs differ only in the
   // batch-protocol counters.
   bool arrival_batch = true;
-  // Borrowed host-time profiler for the controller thread (null disables).
-  // Controller spans: cluster.barrier_wait, cluster.drain, cluster.place.
-  // With shards == 1 the node-level sim/rm/obs spans are recorded too (the
-  // inline loop runs on the controller thread); with worker threads they
-  // stay dark — Profiler is single-writer, and workers never touch it.
+  // Borrowed host-time profiler for the controller (null disables).
+  // Controller spans: cluster.barrier_wait, cluster.drain, cluster.place,
+  // written under the engine mutex by whichever thread runs the controller.
+  // With shards == 1 the node-level sim/rm/obs spans are recorded too (one
+  // thread does everything); with more shards they stay dark — Profiler is
+  // single-writer.
   Profiler* profiler = nullptr;
   // Flight-recorder capture. Events and time-series are merged across the
   // controller and all nodes into single deterministic artifacts; the

@@ -52,11 +52,12 @@ enum class SpanId : int {
   kObsSerialize,      // EventLog record formatting + buffer append
   kObsFlush,          // EventLog buffered bytes pushed to the sink
   kSweepCell,         // one whole sweep cell (RunExperiment)
-  // Cluster controller spans (controller thread only — workers never hold a
-  // ProfScope). Hit determinism caveat: drain and place hits are functions
-  // of the simulated schedule; barrier_wait counts controller wake cycles,
-  // which depend on thread timing when shards > 1 — pin it serial-only.
-  kClusterBarrierWait,  // ClusterEngine dispatch + wait for an actionable batch
+  // Cluster controller spans, written under the engine mutex by whichever
+  // shard thread runs the controller. Hit determinism caveat: drain and
+  // place hits are functions of the simulated schedule; barrier_wait counts
+  // controller wake cycles, which depend on thread timing when shards > 1 —
+  // pin it serial-only.
+  kClusterBarrierWait,  // ClusterEngine idle time between controller actions
   kClusterDrain,        // ClusterEngine::HandleVisibleBatch (one per timestamp)
   kClusterPlace,        // ClusterEngine::PlaceJob (one per placement)
   kCount,

@@ -687,7 +687,7 @@ SimTime ResourceManager::MaterialStop(int slot, SimTime now) {
       // it will ever drain for this job — and the completion tick, where
       // reports from boundaries sharing that grid instant are dropped
       // (CheckCompletions frees the slot before DrainReports runs).
-      const SimTime fin = GridCeil(app.BoundaryTimeAhead(remaining, now));
+      const SimTime fin = CompletionTick(slot, now);
       stop = fin;
       // Bounded descending walk for the largest boundary with an earlier
       // grid tick; a pathological pile-up of boundaries on the final tick
@@ -712,6 +712,31 @@ SimTime ResourceManager::MaterialStop(int slot, SimTime now) {
   rj.material_stop = stop;
   rj.material_epoch = epoch;
   return stop;
+}
+
+SimTime ResourceManager::CompletionTick(int slot, SimTime now) const {
+  const Application& app = slots_[static_cast<std::size_t>(slot)].binding->app();
+  return GridCeil(app.BoundaryTimeAhead(app.remaining_iterations(), now));
+}
+
+SimTime ResourceManager::NextVisibleBound() const {
+  const EventQueue& events = sim_->events();
+  const SimTime next_event = events.empty() ? kHorizonNever : events.NextTime();
+  if (!fast_path_ || !tick_active_) {
+    return next_event;
+  }
+  // Settled jobs under a fully passive policy: no plan changes an
+  // allocation before the first completion, so the admission inputs stay
+  // fixed and every job's final boundary is its closed-form one.
+  SimTime bound = kHorizonNever;
+  for (int slot : order_) {
+    const std::size_t s = static_cast<std::size_t>(slot);
+    if (hot_.ready_at[s] > advanced_to_ || !slots_[s].binding->analyzer().baseline_done()) {
+      return next_event;
+    }
+    bound = std::min(bound, CompletionTick(slot, advanced_to_));
+  }
+  return std::max(bound, next_event);
 }
 
 void ResourceManager::ScheduleNextTick(SimTime now) {

@@ -165,6 +165,18 @@ class ResourceManager {
 
   const Params& params() const { return params_; }
 
+  // Lower bound on the next simulation instant at which this RM makes a
+  // change an outside observer can see: a job finishing, or CanStartJob()
+  // flipping. Valid until that instant or the next external StartJob/Stop,
+  // whichever comes first. Both changes happen only inside events, so the
+  // next pending event time is always a valid bound, and it is the answer
+  // for a reactive policy, capture sinks, exact_ticks or any unsettled job.
+  // Under the boundary-batch fast path with every job settled (steady,
+  // baseline done), allocations stay fixed until the first completion, so
+  // the bound is that completion's tick in closed form: the `fin` that
+  // MaterialStop parks at. kHorizonNever when nothing is pending.
+  SimTime NextVisibleBound() const;
+
  private:
   // Cold per-slot companion of the hot-state arena: the binding plus
   // sampling bookkeeping. Identity fields (arrival, request, rigid) live in
@@ -229,6 +241,9 @@ class ResourceManager {
   // completion tick only. Grid-aligned; kHorizonNever when the job cannot
   // progress. Requires fast_path_ and ready_at[slot] <= now.
   SimTime MaterialStop(int slot, SimTime now);
+  // Grid tick at which the slot's steady job finishes, from its state at
+  // `now` (the instant it was last advanced to).
+  SimTime CompletionTick(int slot, SimTime now) const;
 
   SimTime GridCeil(SimTime t) const;
   // Largest grid instant < t (clamped to advanced_to_).

@@ -49,7 +49,7 @@ struct ClusterCellOutput {
 // be the one BuildJobs would produce for `config` (whose num_cpus must
 // already equal nodes * cpus_per_node, so arrival rates scale with cluster
 // capacity). Trace recording is a single-node feature: config.record_trace
-// must be unset. config.profiler, when set, profiles the controller thread
+// must be unset. config.profiler, when set, profiles the cluster controller
 // (cluster.barrier_wait / cluster.drain / cluster.place plus the node spans
 // reached from the serial inline loop).
 ClusterCellOutput RunClusterCell(const ExperimentConfig& config, const ClusterCellConfig& cluster,

@@ -4,15 +4,19 @@
 // single-loop reference across every captured artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/common/rng.h"
 #include "src/core/pdpa_policy.h"
 #include "src/obs/event_log.h"
+#include "src/rm/equal_efficiency.h"
 #include "src/rm/equipartition.h"
 
 namespace pdpa {
@@ -552,6 +556,196 @@ TEST(ClusterBoundaryBatchTest, BothFastPathsMatchReferenceOnAContendedDrain) {
   EXPECT_GT(CounterValue(fast.counters, "cluster.batched_arrivals"), 0);
   EXPECT_LT(CounterValue(fast.counters, "rm.ticks"),
             CounterValue(reference.counters, "rm.ticks"));
+}
+
+// --- randomized serial == sharded differential ---------------------------
+
+// One drawn cluster shape. Printed on failure so a broken draw can be
+// replayed by hand.
+struct DrawnShape {
+  std::uint64_t seed = 0;
+  int nodes = 1;
+  int cpus = 1;
+  PlacementPolicy placement = PlacementPolicy::kRoundRobin;
+  int policy = 0;  // 0 Equipartition, 1 PDPA, 2 Equal_eff
+  bool capture = false;
+  bool boundary_batch = true;
+  bool arrival_batch = true;
+  std::vector<int> shard_counts;
+
+  std::string ToString() const {
+    static const char* const kPolicies[] = {"equip", "pdpa", "equal_eff"};
+    std::ostringstream out;
+    out << "seed " << seed << ": " << nodes << " nodes x " << cpus << " cpus, "
+        << PlacementPolicyShortName(placement) << ", " << kPolicies[policy]
+        << (capture ? ", capture" : "") << (boundary_batch ? ", boundary_batch" : "")
+        << (arrival_batch ? ", arrival_batch" : ", reference protocol") << ", shards";
+    for (const int shards : shard_counts) {
+      out << ' ' << shards;
+    }
+    return out.str();
+  }
+};
+
+// Short random profiles, one per application class, so a drawn workload
+// drains in milliseconds of host time even on the fine tick grid.
+std::vector<AppProfile> DrawProfiles(Rng& rng, int cpus) {
+  std::vector<AppProfile> profiles;
+  for (int k = 0; k < kNumAppClasses; ++k) {
+    std::vector<std::pair<double, double>> points{{1, 1.0}};
+    double speedup = 1.0;
+    for (int p = 2; p <= cpus; ++p) {
+      speedup = std::max(0.5, speedup + rng.Uniform(-0.3, 1.0));
+      points.emplace_back(p, speedup);
+    }
+    AppProfile profile;
+    profile.name = "drawn";
+    profile.app_class = static_cast<AppClass>(k);
+    profile.speedup = std::make_shared<TableSpeedup>(points);
+    profile.sequential_work_s = rng.Uniform(0.3, 6.0);
+    profile.iterations = rng.UniformInt(1, 16);
+    profile.default_request = cpus;
+    profile.baseline_procs = rng.UniformInt(1, cpus);
+    profiles.push_back(profile);
+  }
+  return profiles;
+}
+
+// Bursts that saturate the cluster, separated by gaps long enough for it to
+// drain and go idle.
+std::vector<JobSpec> DrawWorkload(Rng& rng, const DrawnShape& shape) {
+  std::vector<JobSpec> jobs;
+  SimTime t = 0;
+  const int bursts = rng.UniformInt(1, 3);
+  for (int b = 0; b < bursts; ++b) {
+    const int size = rng.UniformInt(1, 2 * shape.nodes + 8);
+    for (int i = 0; i < size; ++i) {
+      JobSpec spec;
+      spec.id = static_cast<JobId>(jobs.size());
+      spec.app_class = static_cast<AppClass>(rng.UniformInt(0, kNumAppClasses - 1));
+      spec.request = rng.UniformInt(1, shape.cpus + 2);
+      spec.rigid = rng.UniformInt(0, 7) == 0;
+      // Same-instant groups and arrivals on the 20 ms tick grid happen.
+      if (rng.UniformInt(0, 2) != 0) {
+        t += rng.UniformInt(0, 3) * 20 * kMillisecond;
+      } else {
+        t += SecondsToTime(rng.Uniform(0.0, 0.5));
+      }
+      spec.submit = t;
+      jobs.push_back(spec);
+    }
+    t += SecondsToTime(rng.Uniform(0.0, 40.0));
+  }
+  return jobs;
+}
+
+ClusterOptions ShapeOptions(const DrawnShape& shape, const std::vector<AppProfile>& profiles) {
+  ClusterOptions options;
+  options.num_nodes = shape.nodes;
+  options.cpus_per_node = shape.cpus;
+  options.placement = shape.placement;
+  options.seed = shape.seed;
+  const int ml = std::min(4, shape.cpus);
+  switch (shape.policy) {
+    case 0:
+      options.make_policy = [ml] { return std::make_unique<Equipartition>(ml); };
+      break;
+    case 1:
+      options.make_policy = [] {
+        return std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{});
+      };
+      break;
+    default:
+      options.make_policy = [ml] {
+        EqualEfficiency::Params params;
+        params.fixed_ml = ml;
+        return std::make_unique<EqualEfficiency>(params);
+      };
+      break;
+  }
+  options.rm_params.analyzer.noise_sigma = 0.0;
+  options.rm_params.boundary_batch = shape.boundary_batch;
+  options.arrival_batch = shape.arrival_batch;
+  options.capture_events = shape.capture;
+  options.capture_timeseries = shape.capture;
+  options.profile_source = [&profiles](AppClass app_class) -> const AppProfile& {
+    return profiles[static_cast<std::size_t>(app_class)];
+  };
+  return options;
+}
+
+// The lookahead protocol's whole contract: over random shapes — from one
+// node to forty, more shards than nodes, every placement rule, passive and
+// reactive policies, with and without capture sinks — a run is byte for
+// byte the same at every shard count. Arrivals are re-submitted exactly on
+// completion instants of a first run, in saturated and idle phases, and
+// some runs stop at a cutoff (sometimes exactly on a completion).
+TEST(ClusterDifferentialTest, RandomShapesAreShardCountInvariant) {
+  Rng root(20261017);
+  for (int trial = 0; trial < 40; ++trial) {
+    DrawnShape shape;
+    shape.seed = root.NextU64();
+    Rng rng(shape.seed);
+    shape.nodes = rng.UniformInt(1, 40);
+    shape.cpus = rng.UniformInt(1, 16);
+    shape.placement = static_cast<PlacementPolicy>(rng.UniformInt(0, 2));
+    shape.policy = rng.UniformInt(0, 2);
+    shape.capture = rng.UniformInt(0, 3) == 0;
+    shape.boundary_batch = rng.UniformInt(0, 3) != 0;
+    shape.arrival_batch = rng.UniformInt(0, 5) != 0;
+    shape.shard_counts = {rng.UniformInt(2, 8), rng.UniformInt(2, 8)};
+    SCOPED_TRACE(shape.ToString());
+    const std::vector<AppProfile> profiles = DrawProfiles(rng, shape.cpus);
+    ClusterOptions options = ShapeOptions(shape, profiles);
+
+    // First run: learn completion instants, then tie new arrivals to them.
+    std::vector<JobSpec> jobs = DrawWorkload(rng, shape);
+    const ClusterResult probe = RunCluster(jobs, options);
+    ASSERT_TRUE(probe.completed);
+    ASSERT_FALSE(probe.outcomes.empty());
+    const int ties = rng.UniformInt(1, 4);
+    for (int i = 0; i < ties; ++i) {
+      const JobOutcome& anchor =
+          probe.outcomes[static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(probe.outcomes.size()) - 1))];
+      JobSpec spec;
+      spec.id = static_cast<JobId>(jobs.size());
+      spec.app_class = static_cast<AppClass>(rng.UniformInt(0, kNumAppClasses - 1));
+      spec.request = rng.UniformInt(1, shape.cpus);
+      spec.submit = anchor.finish;
+      jobs.push_back(spec);
+    }
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const JobSpec& a, const JobSpec& b) { return a.submit < b.submit; });
+    if (rng.UniformInt(0, 2) == 0) {
+      const JobOutcome& anchor =
+          probe.outcomes[static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(probe.outcomes.size()) - 1))];
+      options.max_sim_time = rng.UniformInt(0, 1) == 0 ? anchor.finish
+                                                       : std::max<SimTime>(1, anchor.finish / 2);
+    }
+
+    options.shards = 1;
+    const ClusterResult serial = RunCluster(jobs, options);
+    EXPECT_EQ(serial.outcomes.size(), serial.outcome_nodes.size());
+    for (const int shards : shape.shard_counts) {
+      options.shards = shards;
+      const ClusterResult sharded = RunCluster(jobs, options);
+      SCOPED_TRACE("shards " + std::to_string(shards));
+      EXPECT_EQ(sharded.shards_used, std::min(shards, shape.nodes));
+      ExpectIdenticalResults(serial, sharded);
+      ASSERT_EQ(serial.outcomes.size(), sharded.outcomes.size());
+      for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+        EXPECT_EQ(serial.outcomes[i].app_class, sharded.outcomes[i].app_class) << "outcome " << i;
+        EXPECT_EQ(serial.outcomes[i].request, sharded.outcomes[i].request) << "outcome " << i;
+        EXPECT_EQ(serial.outcomes[i].submit, sharded.outcomes[i].submit) << "outcome " << i;
+      }
+    }
+    if (shape.arrival_batch) {
+      // Batched control plane vs the one-arrival-per-barrier reference.
+      options.shards = 1;
+      options.arrival_batch = false;
+      ExpectIdenticalModuloBatchCounters(RunCluster(jobs, options), serial);
+    }
+  }
 }
 
 TEST(ClusterTest, PlacementPolicyNamesRoundTrip) {

@@ -2,7 +2,14 @@
 // plumbing, plan application, trace hookup, admission coordination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "src/core/pdpa_policy.h"
+#include "src/obs/event_log.h"
+#include "src/rm/equal_efficiency.h"
 #include "src/rm/equipartition.h"
 #include "src/rm/irix.h"
 #include "src/rm/resource_manager.h"
@@ -184,6 +191,199 @@ TEST(ResourceManagerTest, ManySimultaneousCompletionsInOneTick) {
   ASSERT_EQ(integrals.size(), static_cast<std::size_t>(kJobs));
   for (const auto& [job, integral] : integrals) {
     EXPECT_GT(integral, 0.0) << "job " << job;
+  }
+}
+
+// --- NextVisibleBound ------------------------------------------------------
+//
+// The sharded cluster engine lets the controller run ahead to a node's
+// published bound, so a bound above the node's next visible instant (a
+// completion or a CanStartJob flip) would silently reorder the run. The
+// property test below drives random node states event by event and checks
+// every bound published since the last visible instant against it.
+
+enum class BoundPolicy { kEquipartition, kPdpa, kEqualEfficiency };
+
+struct BoundCase {
+  const char* name;
+  BoundPolicy policy;
+  // Whether the closed form may engage: the boundary-batch fast path with
+  // a passive policy and no sinks.
+  bool closed_form;
+  bool capture = false;
+  bool exact_ticks = false;
+  SimDuration warmup = 0;
+  SimDuration reconfig_freeze = 0;
+};
+
+std::unique_ptr<SchedulingPolicy> MakeBoundPolicy(BoundPolicy policy, int cpus) {
+  switch (policy) {
+    case BoundPolicy::kEquipartition:
+      return std::make_unique<Equipartition>(std::min(4, cpus));
+    case BoundPolicy::kPdpa:
+      return std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{});
+    case BoundPolicy::kEqualEfficiency: {
+      EqualEfficiency::Params params;
+      params.fixed_ml = std::min(params.fixed_ml, cpus);
+      return std::make_unique<EqualEfficiency>(params);
+    }
+  }
+  return nullptr;
+}
+
+// A short run with a random, possibly non-monotone speedup curve.
+AppProfile RandomProfile(Rng& rng, int cpus) {
+  std::vector<std::pair<double, double>> points{{1, 1.0}};
+  double speedup = 1.0;
+  for (int p = 2; p <= cpus; p += rng.UniformInt(1, 3)) {
+    speedup = std::max(0.5, speedup + rng.Uniform(-0.4, 1.0));
+    points.emplace_back(p, speedup);
+  }
+  AppProfile profile;
+  profile.name = "random";
+  profile.speedup = std::make_shared<TableSpeedup>(points);
+  profile.sequential_work_s = rng.Uniform(0.2, 12.0);
+  profile.iterations = rng.UniformInt(1, 24);
+  profile.default_request = cpus;
+  profile.baseline_procs = rng.UniformInt(1, cpus);
+  return profile;
+}
+
+struct BoundTally {
+  long long visible = 0;      // visible instants checked
+  long long closed_form = 0;  // bounds published past the next event
+  long long exact = 0;        // closed-form bounds met by a completion
+};
+
+// One random node: up to six jobs started at random instants (some on the
+// tick grid, some tied with pending events), advanced event by event.
+void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
+  Rng rng(seed);
+  const int cpus = rng.UniformInt(1, 16);
+  ResourceManager::Params params;
+  params.num_cpus = cpus;
+  params.analyzer.noise_sigma = rng.UniformInt(0, 1) == 0 ? 0.0 : 0.05;
+  params.app_costs.warmup = c.warmup;
+  params.app_costs.reconfig_freeze = c.reconfig_freeze;
+  params.exact_ticks = c.exact_ticks;
+  params.boundary_batch = true;
+  Simulation sim;
+  std::ostringstream sink;
+  EventLog log(&sink);
+  ResourceManager rm(params, MakeBoundPolicy(c.policy, cpus), &sim, nullptr, rng.Fork());
+  if (c.capture) {
+    rm.set_event_log(&log);
+    rm.policy().set_event_log(&log);
+  }
+  bool visible = false;
+  bool finished = false;
+  bool admit = false;
+  rm.set_job_finish_callback([&](JobId, SimTime) {
+    visible = true;
+    finished = true;
+  });
+  rm.set_state_change_callback([&](SimTime) {
+    if (rm.CanStartJob() != admit) {
+      admit = !admit;
+      visible = true;
+    }
+  });
+  rm.Start();
+  admit = rm.CanStartJob();
+
+  std::vector<SimTime> starts(static_cast<std::size_t>(rng.UniformInt(1, 6)));
+  for (SimTime& start : starts) {
+    start = rng.UniformInt(0, 1) == 0 ? rng.UniformInt(0, 400) * params.tick
+                                      : SecondsToTime(rng.Uniform(0.0, 8.0));
+  }
+  std::sort(starts.begin(), starts.end());
+
+  const auto next_event = [&] {
+    return sim.events().empty() ? kHorizonNever : sim.events().NextTime();
+  };
+  SimTime max_bound = 0;  // highest bound published since the last visible instant
+  SimTime closed = -1;    // latest closed-form bound in that window
+  const auto publish = [&] {
+    const SimTime bound = rm.NextVisibleBound();
+    const SimTime next = next_event();
+    EXPECT_GE(bound, next) << c.name << " seed " << seed;
+    if (!c.closed_form) {
+      EXPECT_EQ(bound, next) << c.name << " seed " << seed << ": fallback must be the next event";
+    }
+    if (bound > next) {
+      ++tally->closed_form;
+      closed = bound;
+    }
+    max_bound = std::max(max_bound, bound);
+  };
+
+  std::size_t next_job = 0;
+  publish();
+  for (int steps = 0; steps < 20000; ++steps) {
+    const SimTime event_t = next_event();
+    if (next_job < starts.size() && starts[next_job] < event_t) {
+      const SimTime at = std::max(starts[next_job], sim.now());
+      sim.AdvanceTo(at);
+      if (rm.CanStartJob()) {
+        rm.StartJob(static_cast<JobId>(next_job), RandomProfile(rng, cpus),
+                    rng.UniformInt(1, cpus + 2), at, rng.UniformInt(0, 5) == 0);
+      }
+      admit = rm.CanStartJob();  // the cluster controller re-syncs here too
+      ++next_job;
+      max_bound = 0;
+      closed = -1;
+      publish();
+      continue;
+    }
+    if (event_t == kHorizonNever) {
+      break;
+    }
+    sim.Step();
+    while (next_event() == event_t) {
+      sim.Step();  // the engine blocks a node only after its whole instant
+    }
+    if (visible) {
+      ++tally->visible;
+      EXPECT_LE(max_bound, event_t) << c.name << " seed " << seed
+                                    << ": bound passed a visible instant";
+      if (closed >= 0 && finished) {
+        ++tally->exact;
+        EXPECT_EQ(closed, event_t) << c.name << " seed " << seed
+                                   << ": closed form missed the completion tick";
+      }
+      visible = false;
+      finished = false;
+      max_bound = 0;
+      closed = -1;
+    }
+    publish();
+  }
+  EXPECT_EQ(rm.running_jobs(), 0) << c.name << " seed " << seed << ": trial did not drain";
+}
+
+TEST(ResourceManagerTest, NextVisibleBoundNeverPassesTheNextVisibleInstant) {
+  const BoundCase cases[] = {
+      {"equip", BoundPolicy::kEquipartition, true},
+      {"equip-warmup", BoundPolicy::kEquipartition, true, false, false, 300 * kMillisecond},
+      {"equip-freeze", BoundPolicy::kEquipartition, true, false, false, 0, 200 * kMillisecond},
+      {"equip-capture", BoundPolicy::kEquipartition, false, true},
+      {"equip-exact-ticks", BoundPolicy::kEquipartition, false, false, true},
+      {"pdpa", BoundPolicy::kPdpa, false},
+      {"equal-eff", BoundPolicy::kEqualEfficiency, false},
+  };
+  for (const BoundCase& c : cases) {
+    BoundTally tally;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      RunBoundTrial(c, seed, &tally);
+    }
+    EXPECT_GT(tally.visible, 24) << c.name;
+    if (c.closed_form) {
+      // The closed form must actually engage and hit completions exactly.
+      EXPECT_GT(tally.closed_form, 0) << c.name;
+      EXPECT_GT(tally.exact, 0) << c.name;
+    } else {
+      EXPECT_EQ(tally.closed_form, 0) << c.name;
+    }
   }
 }
 
