@@ -138,6 +138,16 @@ double Application::SpeedAt(double p_eff) const {
   return profile_.speedup->SpeedupAt(std::max(1.0, p_eff));
 }
 
+double Application::MaxSpeed() const {
+  const int request = std::max(1, request_);
+  if (rigid_) {
+    return profile_.speedup->SpeedupAt(request) * std::max(1.0, costs_.folding_overhead);
+  }
+  // SpeedAt clamps the effective count to at least one processor, and the
+  // allocation never exceeds the request.
+  return profile_.speedup->MaxSpeedupOver(1.0, request);
+}
+
 double Application::SteadySpeed() const {
   const int procs = EffectiveProcs();
   if (procs <= 0) {

@@ -151,6 +151,13 @@ class Application {
   // Iterations left until the final boundary (the completion instant).
   int remaining_iterations() const { return profile_.iterations - completed_iterations_; }
 
+  // Fastest rate (sequential-equivalent seconds per wall second) the job can
+  // ever progress at under space sharing: the maximum of its speed over
+  // every effective processor count up to its request, warm-up ramp values
+  // included. A folded rigid job never beats its unfolded speed (times the
+  // folding factor, should that exceed one).
+  double MaxSpeed() const;
+
   // Monotonic counter bumped whenever state that can move the next boundary
   // changes (allocation, force override, iteration completion, segment
   // re-anchor).

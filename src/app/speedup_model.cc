@@ -28,6 +28,11 @@ double AmdahlSpeedup::SpeedupAt(double p) const {
   return 1.0 / (serial + parallel_fraction_ / p);
 }
 
+double AmdahlSpeedup::MaxSpeedupOver(double lo, double hi) const {
+  (void)lo;
+  return SpeedupAt(hi);
+}
+
 std::string AmdahlSpeedup::DebugString() const {
   return StrFormat("Amdahl(f=%.3f)", parallel_fraction_);
 }
@@ -60,6 +65,16 @@ double TableSpeedup::SpeedupAt(double p) const {
   const auto& [p2, s2] = *it;
   const double frac = (p - p1) / (p2 - p1);
   return s1 + frac * (s2 - s1);
+}
+
+double TableSpeedup::MaxSpeedupOver(double lo, double hi) const {
+  double best = std::max(SpeedupAt(lo), SpeedupAt(hi));
+  for (const auto& [p, s] : points_) {
+    if (p > lo && p < hi) {
+      best = std::max(best, s);
+    }
+  }
+  return best;
 }
 
 std::string TableSpeedup::DebugString() const {

@@ -23,6 +23,9 @@ class SpeedupModel {
   // Efficiency = S(p) / p; defined as 1 at p == 0 for convenience.
   double EfficiencyAt(double p) const;
 
+  // Exact maximum of SpeedupAt over [lo, hi], 0 < lo <= hi.
+  virtual double MaxSpeedupOver(double lo, double hi) const = 0;
+
   virtual std::string DebugString() const = 0;
 };
 
@@ -32,6 +35,8 @@ class AmdahlSpeedup : public SpeedupModel {
   explicit AmdahlSpeedup(double parallel_fraction);
 
   double SpeedupAt(double p) const override;
+  // Non-decreasing in p: the maximum sits at `hi`.
+  double MaxSpeedupOver(double lo, double hi) const override;
   std::string DebugString() const override;
 
   double parallel_fraction() const { return parallel_fraction_; }
@@ -50,6 +55,9 @@ class TableSpeedup : public SpeedupModel {
   explicit TableSpeedup(std::vector<std::pair<double, double>> points);
 
   double SpeedupAt(double p) const override;
+  // Piecewise linear, so the maximum sits at an end point or at a control
+  // point inside the range; the curve may be non-monotone.
+  double MaxSpeedupOver(double lo, double hi) const override;
   std::string DebugString() const override;
 
  private:

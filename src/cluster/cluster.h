@@ -16,12 +16,20 @@
 // is no dedicated controller thread. The only cross-node facts are job
 // completions and admission flips ("visible" activity). Every node
 // publishes a lower bound on its next visible instant
-// (ResourceManager::NextVisibleBound: a completion tick in closed form for
-// settled passive-policy nodes, else its next event time), and a shard's
-// promise is the minimum over its unblocked nodes. A shard steps its nodes
-// up to the next arrival not yet queued and blocks only a node with visible
-// activity; the controller drains the batch at C as soon as every promise
-// lies past C — it never waits for a shard to reach C. Every controller
+// (ResourceManager::NextVisibleBound: for passive-policy nodes the earliest
+// completion tick in closed form, exact for settled jobs and a strict lower
+// bound for jobs still in their baseline, freeze or warm-up; else its next
+// event time). A shard steps its nodes up to the next arrival not yet
+// queued and blocks only a node with visible activity. The blocked node
+// joins the shard's own pending list without the engine mutex; the shard's
+// promise is the minimum over its unblocked nodes' bounds and its pending
+// instants. A shard takes the mutex, and registers its pending nodes with
+// the controller, only when the controller may be waiting on it: the
+// instant the controller waits on has reached a pending node, the promise
+// just crossed that instant, or the controller left it a drain of its own
+// node. The controller drains the batch at C as soon as every promise lies
+// past C — it never waits for a shard to reach C — on the thread owning
+// the batch's first node. Every controller
 // decision is made in canonical (time, node-index) order regardless of the
 // shard count, so a run with `shards == 1` (the same loop, inline on the
 // calling thread) and a run with N threads produce byte-identical event

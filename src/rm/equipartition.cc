@@ -21,27 +21,41 @@ AllocationPlan Equipartition::EqualSplit(const PolicyContext& ctx) {
   if (ctx.jobs.empty()) {
     return plan;
   }
-  // Start everyone at zero, then hand out processors one by one to the job
-  // with the smallest current share that is still below its request. This
-  // is the classic water-filling formulation: equal shares, with small
-  // requests capped and their leftovers redistributed.
-  for (const PolicyJobInfo& job : ctx.jobs) {
-    plan[job.id] = 0;
-  }
-  int remaining = ctx.total_cpus;
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
+  // Water-filling: equal shares, with small requests capped and their
+  // leftovers redistributed. The level is the largest k at which every job
+  // can hold min(request, k); the CPUs left over go one each to the first
+  // jobs in context order still below their request. That is exactly what
+  // handing out processors one by one, round-robin in context order, to
+  // every job below its request produces.
+  const auto used_at = [&ctx](int level) {
+    long long used = 0;
     for (const PolicyJobInfo& job : ctx.jobs) {
-      if (remaining == 0) {
-        break;
-      }
-      if (plan[job.id] < job.request) {
-        ++plan[job.id];
-        --remaining;
-        progress = true;
-      }
+      used += std::clamp(job.request, 0, level);
     }
+    return used;
+  };
+  int lo = 0;
+  int hi = 0;
+  for (const PolicyJobInfo& job : ctx.jobs) {
+    hi = std::max(hi, job.request);
+  }
+  const int total = std::max(ctx.total_cpus, 0);
+  while (lo < hi) {
+    const int mid = lo + (hi - lo + 1) / 2;
+    if (used_at(mid) <= total) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  long long extra = total - used_at(lo);
+  for (const PolicyJobInfo& job : ctx.jobs) {
+    int share = std::clamp(job.request, 0, lo);
+    if (job.request > lo && extra > 0) {
+      ++share;
+      --extra;
+    }
+    plan[job.id] = share;
   }
   return plan;
 }

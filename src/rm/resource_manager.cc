@@ -215,8 +215,14 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
       std::make_unique<Application>(job, profile, params_.app_costs, &hot_, slot);
   app->set_request(effective_request);
   app->set_rigid(rigid);
+  if (analyzer_counters_.reports == nullptr) {
+    // Bound at the first start, not in the constructor: a run that never
+    // starts a job lists no analyzer counters in its recorded dump.
+    analyzer_counters_ = AnalyzerCounters::Bind(*registry_);
+  }
+  const double max_speed = app->MaxSpeed();
   auto binding = std::make_unique<NthLibBinding>(std::move(app), params_.analyzer, rng_.Fork(),
-                                                 registry_);
+                                                 analyzer_counters_);
   binding->set_report_callback(
       [this](const PerfReport& report) { pending_reports_.push_back(report); });
 
@@ -234,6 +240,7 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
     running.last_efficiency = 0.0;
     running.sampled_integral_us = 0.0;
     running.last_sample = now;
+    running.max_speed = max_speed;
   }
   if (static_cast<std::size_t>(job) >= slot_of_job_.size()) {
     slot_of_job_.resize(static_cast<std::size_t>(job) + 1, -1);
@@ -719,24 +726,48 @@ SimTime ResourceManager::CompletionTick(int slot, SimTime now) const {
   return GridCeil(app.BoundaryTimeAhead(app.remaining_iterations(), now));
 }
 
-SimTime ResourceManager::NextVisibleBound() const {
+SimTime ResourceManager::NextVisibleBound(bool* exact) const {
   const EventQueue& events = sim_->events();
   const SimTime next_event = events.empty() ? kHorizonNever : events.NextTime();
+  if (exact != nullptr) {
+    *exact = false;
+  }
   if (!fast_path_ || !tick_active_) {
     return next_event;
   }
-  // Settled jobs under a fully passive policy: no plan changes an
-  // allocation before the first completion, so the admission inputs stay
-  // fixed and every job's final boundary is its closed-form one.
-  SimTime bound = kHorizonNever;
+  // A fully passive policy changes allocations only at starts and finishes,
+  // so until the first completion the admission inputs stay fixed and the
+  // only visible instant left is that completion's tick. A settled job
+  // (steady, baseline done) keeps its speed until then: its completion tick
+  // is the closed-form one. An unsettled job may still speed up (baseline
+  // release, warm-up ramp, thaw), but never beyond its maximum speed, so it
+  // cannot finish before all its remaining work runs at that speed.
+  SimTime settled = kHorizonNever;
+  SimTime unsettled = kHorizonNever;
   for (int slot : order_) {
     const std::size_t s = static_cast<std::size_t>(slot);
-    if (hot_.ready_at[s] > advanced_to_ || !slots_[s].binding->analyzer().baseline_done()) {
-      return next_event;
+    const NthLibBinding& binding = *slots_[s].binding;
+    if (hot_.ready_at[s] <= advanced_to_ && binding.analyzer().baseline_done()) {
+      settled = std::min(settled, CompletionTick(slot, advanced_to_));
+      continue;
     }
-    bound = std::min(bound, CompletionTick(slot, advanced_to_));
+    if (slots_[s].max_speed <= 0.0) {
+      continue;  // cannot progress, so cannot finish
+    }
+    // Rounded down with a margin for the microsecond rounding of boundary
+    // instants and the floating-point drift of segment-anchored progress.
+    const Application& app = binding.app();
+    const double remaining_us =
+        (app.total_work_s() - app.progress_s()) / slots_[s].max_speed * kSecond;
+    const SimTime earliest =
+        advanced_to_ + std::max<SimTime>(0, static_cast<SimTime>(remaining_us * (1 - 1e-9)) - 2);
+    // Completions surface only at grid ticks.
+    unsettled = std::min(unsettled, GridCeil(earliest));
   }
-  return std::max(bound, next_event);
+  if (exact != nullptr) {
+    *exact = settled < kHorizonNever && settled <= unsettled && settled > next_event;
+  }
+  return std::max(std::min(settled, unsettled), next_event);
 }
 
 void ResourceManager::ScheduleNextTick(SimTime now) {

@@ -170,12 +170,20 @@ class ResourceManager {
   // flipping. Valid until that instant or the next external StartJob/Stop,
   // whichever comes first. Both changes happen only inside events, so the
   // next pending event time is always a valid bound, and it is the answer
-  // for a reactive policy, capture sinks, exact_ticks or any unsettled job.
-  // Under the boundary-batch fast path with every job settled (steady,
-  // baseline done), allocations stay fixed until the first completion, so
-  // the bound is that completion's tick in closed form: the `fin` that
-  // MaterialStop parks at. kHorizonNever when nothing is pending.
-  SimTime NextVisibleBound() const;
+  // for a reactive policy, capture sinks or exact_ticks. Under the
+  // boundary-batch fast path the policy is passive, so allocations and the
+  // admission inputs stay fixed until the first completion, and the bound
+  // is the earliest completion tick over the running jobs, in closed form:
+  //   * a settled job (steady, baseline done): the exact tick MaterialStop
+  //     parks at (`fin`);
+  //   * an unsettled job (baseline, freeze or warm-up): a strict lower bound,
+  //     its remaining work at its maximum speed (Application::MaxSpeed),
+  //     rounded down with a small margin.
+  // Never below the next event. `exact`, when given, is set when the bound
+  // is a settled job's completion tick past the next event: the instant the
+  // first completion happens, not just a bound on it. kHorizonNever when
+  // nothing is pending.
+  SimTime NextVisibleBound(bool* exact = nullptr) const;
 
  private:
   // Cold per-slot companion of the hot-state arena: the binding plus
@@ -195,6 +203,9 @@ class ResourceManager {
     // the hot-state change epoch it was computed at (see MaterialStop).
     SimTime material_stop = 0;
     std::uint64_t material_epoch = ~0ull;
+    // Application::MaxSpeed, fixed at StartJob (request and rigidity do not
+    // change while the job runs).
+    double max_speed = 0.0;
   };
 
   // Fills and returns the reusable scratch context (no per-call allocation
@@ -341,6 +352,8 @@ class ResourceManager {
   Counter* ticks_elided_;
   Gauge* free_cpus_gauge_;
   Histogram* report_efficiency_;
+  // Handed to every job's SelfAnalyzer; resolved at the first StartJob.
+  AnalyzerCounters analyzer_counters_;
 };
 
 }  // namespace pdpa

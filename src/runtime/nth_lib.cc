@@ -7,10 +7,10 @@
 namespace pdpa {
 
 NthLibBinding::NthLibBinding(std::unique_ptr<Application> app, SelfAnalyzerParams analyzer_params,
-                             Rng rng, Registry* registry)
+                             Rng rng, AnalyzerCounters counters)
     : app_(std::move(app)) {
   PDPA_CHECK(app_ != nullptr);
-  analyzer_ = std::make_unique<SelfAnalyzer>(app_.get(), analyzer_params, rng, registry);
+  analyzer_ = std::make_unique<SelfAnalyzer>(app_.get(), analyzer_params, rng, counters);
   app_->set_iteration_callback([this](const IterationRecord& record) {
     analyzer_->OnIteration(record, record.end_time);
   });

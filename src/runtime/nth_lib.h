@@ -20,10 +20,10 @@ namespace pdpa {
 
 class NthLibBinding {
  public:
-  // `registry` is the per-run counter registry forwarded to the
-  // SelfAnalyzer (borrowed); null falls back to Registry::Default().
+  // `counters` are the run's analyzer instruments, forwarded to the
+  // SelfAnalyzer.
   NthLibBinding(std::unique_ptr<Application> app, SelfAnalyzerParams analyzer_params, Rng rng,
-                Registry* registry = nullptr);
+                AnalyzerCounters counters = AnalyzerCounters::Bind(Registry::Default()));
 
   NthLibBinding(const NthLibBinding&) = delete;
   NthLibBinding& operator=(const NthLibBinding&) = delete;
@@ -31,6 +31,7 @@ class NthLibBinding {
   Application& app() { return *app_; }
   const Application& app() const { return *app_; }
   SelfAnalyzer& analyzer() { return *analyzer_; }
+  const SelfAnalyzer& analyzer() const { return *analyzer_; }
 
   // Forwarded to the scheduler whenever the SelfAnalyzer produces a new
   // measurement.

@@ -7,13 +7,17 @@
 
 namespace pdpa {
 
+AnalyzerCounters AnalyzerCounters::Bind(Registry& registry) {
+  AnalyzerCounters counters;
+  counters.reports = registry.counter("analyzer.reports");
+  counters.dirty_iterations = registry.counter("analyzer.dirty_iterations");
+  counters.baselines_done = registry.counter("analyzer.baselines_done");
+  return counters;
+}
+
 SelfAnalyzer::SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng,
-                           Registry* registry)
-    : app_(app), params_(params), rng_(rng) {
-  Registry& reg = registry != nullptr ? *registry : Registry::Default();
-  reports_emitted_ = reg.counter("analyzer.reports");
-  dirty_iterations_ = reg.counter("analyzer.dirty_iterations");
-  baselines_done_ = reg.counter("analyzer.baselines_done");
+                           AnalyzerCounters counters)
+    : app_(app), params_(params), rng_(rng), counters_(counters) {
   PDPA_CHECK(app != nullptr);
   PDPA_CHECK_GE(params.baseline_iterations, 1);
   PDPA_CHECK_GE(params.measure_iterations, 1);
@@ -56,7 +60,7 @@ void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
         // the allocation was tiny; normalize with the count actually used.
         baseline_procs_ = record.procs;
         baseline_done_ = true;
-        baselines_done_->Increment();
+        counters_.baselines_done->Increment();
         app_->ForceProcs(0, now);  // Release to the full allocation.
       }
     }
@@ -65,7 +69,7 @@ void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
 
   if (!record.clean) {
     // A reallocation happened mid-iteration; discard and restart the window.
-    dirty_iterations_->Increment();
+    counters_.dirty_iterations->Increment();
     measure_samples_ = 0;
     measure_sum_s_ = 0.0;
     return;
@@ -95,7 +99,7 @@ void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
       NormalizedSpeedup(baseline_time_s_, time_with_p, baseline_procs_, params_.amdahl_factor);
   report.efficiency = report.speedup / std::max(1, record.procs);
   report.when = now;
-  reports_emitted_->Increment();
+  counters_.reports->Increment();
   if (on_report_) {
     on_report_(report);
   }

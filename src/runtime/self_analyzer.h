@@ -56,13 +56,24 @@ struct SelfAnalyzerParams {
 double NormalizedSpeedup(double baseline_s, double time_with_p, int baseline_procs,
                          double amdahl_factor);
 
+// The analyzer's instruments in one run's registry. A resource manager
+// resolves them once and hands the same set to every job it starts, so
+// placing a job takes no registry lookup.
+struct AnalyzerCounters {
+  Counter* reports = nullptr;
+  Counter* dirty_iterations = nullptr;
+  Counter* baselines_done = nullptr;
+
+  static AnalyzerCounters Bind(Registry& registry);
+};
+
 class SelfAnalyzer {
  public:
   using ReportCallback = std::function<void(const PerfReport&)>;
 
-  // `app` must outlive the analyzer. `registry` is the per-run counter
-  // registry (borrowed); null falls back to Registry::Default().
-  SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng, Registry* registry = nullptr);
+  // `app` must outlive the analyzer, and `counters` the run's registry.
+  SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng,
+               AnalyzerCounters counters = AnalyzerCounters::Bind(Registry::Default()));
 
   void set_report_callback(ReportCallback callback) { on_report_ = std::move(callback); }
 
@@ -96,9 +107,7 @@ class SelfAnalyzer {
   double measure_sum_s_ = 0.0;
   int measure_procs_ = 0;
 
-  Counter* reports_emitted_;
-  Counter* dirty_iterations_;
-  Counter* baselines_done_;
+  AnalyzerCounters counters_;
 };
 
 }  // namespace pdpa

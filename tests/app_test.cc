@@ -2,12 +2,16 @@
 // iterative application model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/app/app_profile.h"
 #include "src/app/application.h"
 #include "src/app/speedup_model.h"
+#include "src/common/rng.h"
 
 namespace pdpa {
 namespace {
@@ -37,6 +41,49 @@ TEST(TableSpeedupTest, EfficiencyDerived) {
   TableSpeedup model({{1, 1.0}, {10, 8.0}});
   EXPECT_NEAR(model.EfficiencyAt(10), 0.8, 1e-12);
   EXPECT_DOUBLE_EQ(model.EfficiencyAt(0), 1.0);
+}
+
+TEST(TableSpeedupTest, MaxSpeedupOverIsExactOnNonMonotoneFractionalTables) {
+  TableSpeedup model({{1, 1.0}, {2.5, 3.2}, {3.75, 2.0}, {6.25, 4.1}, {9, 3.0}});
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(1, 2), model.SpeedupAt(2));  // rising segment
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(1, 3), 3.2);                // interior peak
+  // Valleys between the peaks: the higher end point wins.
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(2.6, 4.5), model.SpeedupAt(2.6));
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(3, 5), model.SpeedupAt(5));
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(1, 100), 4.1);
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(7, 100), model.SpeedupAt(7));  // falling, then flat
+  EXPECT_DOUBLE_EQ(model.MaxSpeedupOver(4, 4), model.SpeedupAt(4));
+}
+
+TEST(SpeedupModelTest, MaxSpeedupOverMatchesADenseScan) {
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::pair<double, double>> points{{1, 1.0}};
+    double p = 1.0;
+    for (int i = rng.UniformInt(0, 8); i > 0; --i) {
+      p += rng.Uniform(0.05, 3.0);
+      points.emplace_back(p, rng.Uniform(0.2, 12.0));
+    }
+    const TableSpeedup table(points);
+    const AmdahlSpeedup amdahl(rng.Uniform(0.0, 1.0));
+    const double lo = rng.Uniform(1.0, 6.0);
+    const double hi = lo + rng.Uniform(0.0, 12.0);
+    for (const SpeedupModel* model : {static_cast<const SpeedupModel*>(&table),
+                                      static_cast<const SpeedupModel*>(&amdahl)}) {
+      const double max = model->MaxSpeedupOver(lo, hi);
+      double scanned = std::max(model->SpeedupAt(lo), model->SpeedupAt(hi));
+      for (int k = 0; k <= 4000; ++k) {
+        scanned = std::max(scanned, model->SpeedupAt(lo + (hi - lo) * k / 4000.0));
+      }
+      for (const auto& [bp, speedup] : points) {
+        if (model == &table && bp >= lo && bp <= hi) {
+          scanned = std::max(scanned, speedup);
+        }
+      }
+      EXPECT_DOUBLE_EQ(max, scanned) << model->DebugString() << " over [" << lo << ", " << hi
+                                     << "]";
+    }
+  }
 }
 
 TEST(SaturatingSpeedupTest, MonotoneAndBounded) {
@@ -272,6 +319,51 @@ TEST(ApplicationTest, RigidFullAllocationHasNoFoldingPenalty) {
   app.Start(0);
   app.Advance(0, kSecond);
   EXPECT_NEAR(app.progress_s(), 8.0, 1e-9);  // full S(8), no overhead
+}
+
+TEST(ApplicationTest, MaxSpeedBoundsEveryReachableSpeed) {
+  // Non-monotone curve with fractional breakpoints; its peak (6.0 at 3.5)
+  // is reachable only through the warm-up ramp's fractional counts.
+  AppProfile profile = TestProfile();
+  profile.speedup =
+      std::make_shared<TableSpeedup>(std::vector<std::pair<double, double>>{
+          {1, 1.0}, {2.25, 2.0}, {3.5, 6.0}, {5.75, 3.0}, {8, 4.0}});
+  profile.sequential_work_s = 1e6;  // never finishes here
+  profile.iterations = 1;
+  for (const int request : {1, 3, 4, 8, 12}) {
+    AppCosts costs = NoCosts();
+    costs.warmup = 100 * kMillisecond;
+    Application app(1, profile, costs);
+    app.set_request(request);
+    const double max_speed = app.MaxSpeed();
+    EXPECT_DOUBLE_EQ(max_speed, profile.speedup->MaxSpeedupOver(1, request)) << request;
+    app.SetAllocation(1, 0);
+    app.Start(0);
+    Rng rng(static_cast<std::uint64_t>(request));
+    SimTime now = 0;
+    for (int step = 0; step < 400; ++step) {
+      if (step % 7 == 0) {
+        app.SetAllocation(rng.UniformInt(1, request), now);
+      }
+      const double before = app.progress_s();
+      app.Advance(now, 20 * kMillisecond);
+      now += 20 * kMillisecond;
+      EXPECT_LE((app.progress_s() - before) / 0.02, max_speed * (1 + 1e-9))
+          << "request " << request << " step " << step;
+    }
+  }
+}
+
+TEST(ApplicationTest, RigidMaxSpeedIsTheUnfoldedSpeed) {
+  AppProfile profile = TestProfile();  // linear speedup
+  for (const double overhead : {0.8, 1.25}) {
+    AppCosts costs = NoCosts();
+    costs.folding_overhead = overhead;
+    Application app(1, profile, costs);
+    app.set_request(8);
+    app.set_rigid(true);
+    EXPECT_DOUBLE_EQ(app.MaxSpeed(), 8.0 * std::max(1.0, overhead)) << overhead;
+  }
 }
 
 TEST(AppProfileBuilderTest, DefaultsAndOverrides) {

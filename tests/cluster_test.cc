@@ -748,6 +748,77 @@ TEST(ClusterDifferentialTest, RandomShapesAreShardCountInvariant) {
   }
 }
 
+// Tiny jobs on many nodes per shard: a burst placed at one instant finishes
+// at one tick, so far more than a shard's pacing lead (kMaxLead in
+// cluster.cc) block at once, mostly in the shards' pending lists rather
+// than the controller's blocked heap. Waves refill the cluster, and extra
+// arrivals land exactly on completion instants of a first run.
+TEST(ClusterDifferentialTest, MassBlockingShapesAreShardCountInvariant) {
+  Rng root(20261018);
+  for (int trial = 0; trial < 16; ++trial) {
+    DrawnShape shape;
+    shape.seed = root.NextU64();
+    Rng rng(shape.seed);
+    shape.nodes = rng.UniformInt(64, 160);
+    shape.cpus = rng.UniformInt(1, 8);
+    shape.placement = static_cast<PlacementPolicy>(rng.UniformInt(0, 2));
+    shape.policy = rng.UniformInt(0, 3) == 0 ? rng.UniformInt(1, 2) : 0;
+    shape.capture = rng.UniformInt(0, 3) == 0;
+    shape.boundary_batch = rng.UniformInt(0, 3) != 0;
+    shape.shard_counts = {rng.UniformInt(2, 4), rng.UniformInt(5, 8)};
+    SCOPED_TRACE(shape.ToString());
+    std::vector<AppProfile> profiles = DrawProfiles(rng, shape.cpus);
+    for (AppProfile& profile : profiles) {
+      profile.sequential_work_s = rng.Uniform(0.005, 0.25);
+      profile.iterations = rng.UniformInt(1, 3);
+    }
+    ClusterOptions options = ShapeOptions(shape, profiles);
+
+    std::vector<JobSpec> jobs;
+    SimTime t = 0;
+    for (int wave = rng.UniformInt(2, 5); wave > 0; --wave) {
+      const int size = rng.UniformInt(shape.nodes, 3 * shape.nodes);
+      const AppClass app_class = static_cast<AppClass>(rng.UniformInt(0, kNumAppClasses - 1));
+      const int request = rng.UniformInt(1, shape.cpus);
+      for (int i = 0; i < size; ++i) {
+        JobSpec spec;
+        spec.id = static_cast<JobId>(jobs.size());
+        // Mostly one class and request per wave, so completions tie.
+        const bool odd = rng.UniformInt(0, 4) == 0;
+        spec.app_class =
+            odd ? static_cast<AppClass>(rng.UniformInt(0, kNumAppClasses - 1)) : app_class;
+        spec.request = odd ? rng.UniformInt(1, shape.cpus) : request;
+        spec.submit = t;
+        jobs.push_back(spec);
+      }
+      t += rng.UniformInt(0, 40) * 20 * kMillisecond;
+    }
+    const ClusterResult probe = RunCluster(jobs, options);
+    ASSERT_TRUE(probe.completed);
+    for (int i = rng.UniformInt(4, 24); i > 0; --i) {
+      const JobOutcome& anchor = probe.outcomes[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int>(probe.outcomes.size()) - 1))];
+      JobSpec spec;
+      spec.id = static_cast<JobId>(jobs.size());
+      spec.app_class = static_cast<AppClass>(rng.UniformInt(0, kNumAppClasses - 1));
+      spec.request = rng.UniformInt(1, shape.cpus);
+      spec.submit = anchor.finish;
+      jobs.push_back(spec);
+    }
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const JobSpec& a, const JobSpec& b) { return a.submit < b.submit; });
+
+    options.shards = 1;
+    const ClusterResult serial = RunCluster(jobs, options);
+    ASSERT_TRUE(serial.completed);
+    for (const int shards : shape.shard_counts) {
+      options.shards = shards;
+      SCOPED_TRACE("shards " + std::to_string(shards));
+      ExpectIdenticalResults(serial, RunCluster(jobs, options));
+    }
+  }
+}
+
 TEST(ClusterTest, PlacementPolicyNamesRoundTrip) {
   for (const PlacementPolicy placement :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kMostFreeCpus,

@@ -69,6 +69,46 @@ TEST(EquipartitionTest, UnevenRemainderDistributedDeterministically) {
   EXPECT_EQ(total, 60);
 }
 
+// The CPU-by-CPU round-robin water-filling EqualSplit replaced by its
+// closed form, kept here as the reference.
+AllocationPlan RoundRobinSplit(const PolicyContext& ctx) {
+  AllocationPlan plan;
+  for (const PolicyJobInfo& job : ctx.jobs) {
+    plan[job.id] = 0;
+  }
+  int remaining = ctx.total_cpus;
+  bool progress = true;
+  while (remaining > 0 && progress) {
+    progress = false;
+    for (const PolicyJobInfo& job : ctx.jobs) {
+      if (remaining == 0) {
+        break;
+      }
+      if (plan[job.id] < job.request) {
+        ++plan[job.id];
+        --remaining;
+        progress = true;
+      }
+    }
+  }
+  return plan;
+}
+
+TEST(EquipartitionTest, EqualSplitMatchesRoundRobinWaterFilling) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<std::pair<JobId, int>> jobs;
+    const int count = rng.UniformInt(0, 12);
+    for (int i = 0; i < count; ++i) {
+      // Ids out of order, so context order and map order differ.
+      jobs.emplace_back(static_cast<JobId>(rng.UniformInt(0, 3) * 100 + i),
+                        rng.UniformInt(0, 5) == 0 ? rng.UniformInt(0, 3) : rng.UniformInt(1, 70));
+    }
+    const PolicyContext ctx = MakeContext(jobs, rng.UniformInt(0, 130));
+    EXPECT_EQ(Equipartition::EqualSplit(ctx), RoundRobinSplit(ctx)) << "trial " << trial;
+  }
+}
+
 TEST(EquipartitionTest, AdmissionIsFixedMl) {
   Equipartition policy(4);
   EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}, {2, 30}, {3, 30}})));

@@ -200,7 +200,9 @@ TEST(ResourceManagerTest, ManySimultaneousCompletionsInOneTick) {
 // published bound, so a bound above the node's next visible instant (a
 // completion or a CanStartJob flip) would silently reorder the run. The
 // property test below drives random node states event by event and checks
-// every bound published since the last visible instant against it.
+// every bound published since the last visible instant against it. A bound
+// flagged exact (a settled job's completion tick) must also equal the
+// completion it predicts; an unsettled job's bound is a strict lower bound.
 
 enum class BoundPolicy { kEquipartition, kPdpa, kEqualEfficiency };
 
@@ -214,6 +216,16 @@ struct BoundCase {
   bool exact_ticks = false;
   SimDuration warmup = 0;
   SimDuration reconfig_freeze = 0;
+  // Whether jobs can settle, so exact completion ticks must show up: not
+  // when the baseline never completes. (A rigid job skips the baseline
+  // override, but its analyzer still completes a baseline whenever its
+  // clean iterations run at the baseline count.)
+  bool settles = true;
+  // Analyzer baseline length; long enough keeps every job in its baseline.
+  int baseline_iterations = 2;
+  bool all_rigid = false;
+  // Speedup tables with fractional breakpoints.
+  bool fractional = false;
 };
 
 std::unique_ptr<SchedulingPolicy> MakeBoundPolicy(BoundPolicy policy, int cpus) {
@@ -231,11 +243,13 @@ std::unique_ptr<SchedulingPolicy> MakeBoundPolicy(BoundPolicy policy, int cpus) 
   return nullptr;
 }
 
-// A short run with a random, possibly non-monotone speedup curve.
-AppProfile RandomProfile(Rng& rng, int cpus) {
+// A short run with a random, possibly non-monotone speedup curve, with
+// integer or fractional breakpoints.
+AppProfile RandomProfile(Rng& rng, int cpus, bool fractional) {
   std::vector<std::pair<double, double>> points{{1, 1.0}};
   double speedup = 1.0;
-  for (int p = 2; p <= cpus; p += rng.UniformInt(1, 3)) {
+  for (double p = 2; p <= cpus;
+       p += fractional ? rng.Uniform(0.1, 2.5) : rng.UniformInt(1, 3)) {
     speedup = std::max(0.5, speedup + rng.Uniform(-0.4, 1.0));
     points.emplace_back(p, speedup);
   }
@@ -252,7 +266,8 @@ AppProfile RandomProfile(Rng& rng, int cpus) {
 struct BoundTally {
   long long visible = 0;      // visible instants checked
   long long closed_form = 0;  // bounds published past the next event
-  long long exact = 0;        // closed-form bounds met by a completion
+  long long lower = 0;        // of those, unsettled lower bounds
+  long long exact = 0;        // exact closed-form bounds met by a completion
 };
 
 // One random node: up to six jobs started at random instants (some on the
@@ -265,6 +280,7 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
   params.analyzer.noise_sigma = rng.UniformInt(0, 1) == 0 ? 0.0 : 0.05;
   params.app_costs.warmup = c.warmup;
   params.app_costs.reconfig_freeze = c.reconfig_freeze;
+  params.analyzer.baseline_iterations = c.baseline_iterations;
   params.exact_ticks = c.exact_ticks;
   params.boundary_batch = true;
   Simulation sim;
@@ -302,9 +318,10 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
     return sim.events().empty() ? kHorizonNever : sim.events().NextTime();
   };
   SimTime max_bound = 0;  // highest bound published since the last visible instant
-  SimTime closed = -1;    // latest closed-form bound in that window
+  SimTime closed = -1;    // latest exact closed-form bound in that window
   const auto publish = [&] {
-    const SimTime bound = rm.NextVisibleBound();
+    bool exact = false;
+    const SimTime bound = rm.NextVisibleBound(&exact);
     const SimTime next = next_event();
     EXPECT_GE(bound, next) << c.name << " seed " << seed;
     if (!c.closed_form) {
@@ -312,7 +329,13 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
     }
     if (bound > next) {
       ++tally->closed_form;
-      closed = bound;
+      if (exact) {
+        closed = bound;
+      } else {
+        ++tally->lower;
+      }
+    } else {
+      EXPECT_FALSE(exact) << c.name << " seed " << seed;
     }
     max_bound = std::max(max_bound, bound);
   };
@@ -325,8 +348,8 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
       const SimTime at = std::max(starts[next_job], sim.now());
       sim.AdvanceTo(at);
       if (rm.CanStartJob()) {
-        rm.StartJob(static_cast<JobId>(next_job), RandomProfile(rng, cpus),
-                    rng.UniformInt(1, cpus + 2), at, rng.UniformInt(0, 5) == 0);
+        rm.StartJob(static_cast<JobId>(next_job), RandomProfile(rng, cpus, c.fractional),
+                    rng.UniformInt(1, cpus + 2), at, c.all_rigid || rng.UniformInt(0, 5) == 0);
       }
       admit = rm.CanStartJob();  // the cluster controller re-syncs here too
       ++next_job;
@@ -349,7 +372,7 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
       if (closed >= 0 && finished) {
         ++tally->exact;
         EXPECT_EQ(closed, event_t) << c.name << " seed " << seed
-                                   << ": closed form missed the completion tick";
+                                   << ": exact closed form missed the completion tick";
       }
       visible = false;
       finished = false;
@@ -362,10 +385,17 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
 }
 
 TEST(ResourceManagerTest, NextVisibleBoundNeverPassesTheNextVisibleInstant) {
+  const SimDuration warmup = 300 * kMillisecond;
+  const SimDuration freeze = 200 * kMillisecond;
   const BoundCase cases[] = {
       {"equip", BoundPolicy::kEquipartition, true},
-      {"equip-warmup", BoundPolicy::kEquipartition, true, false, false, 300 * kMillisecond},
-      {"equip-freeze", BoundPolicy::kEquipartition, true, false, false, 0, 200 * kMillisecond},
+      {"equip-warmup", BoundPolicy::kEquipartition, true, false, false, warmup},
+      {"equip-freeze", BoundPolicy::kEquipartition, true, false, false, 0, freeze},
+      {"equip-warmup-freeze", BoundPolicy::kEquipartition, true, false, false, warmup, freeze},
+      {"equip-baseline", BoundPolicy::kEquipartition, true, false, false, warmup, 0, false, 1000},
+      {"equip-rigid", BoundPolicy::kEquipartition, true, false, false, 0, 0, true, 2, true},
+      {"equip-fractional", BoundPolicy::kEquipartition, true, false, false, warmup, freeze, true,
+       2, false, true},
       {"equip-capture", BoundPolicy::kEquipartition, false, true},
       {"equip-exact-ticks", BoundPolicy::kEquipartition, false, false, true},
       {"pdpa", BoundPolicy::kPdpa, false},
@@ -378,13 +408,45 @@ TEST(ResourceManagerTest, NextVisibleBoundNeverPassesTheNextVisibleInstant) {
     }
     EXPECT_GT(tally.visible, 24) << c.name;
     if (c.closed_form) {
-      // The closed form must actually engage and hit completions exactly.
-      EXPECT_GT(tally.closed_form, 0) << c.name;
-      EXPECT_GT(tally.exact, 0) << c.name;
+      // Both closed forms must actually engage: lower bounds for unsettled
+      // jobs, and exact completion ticks wherever jobs settle.
+      EXPECT_GT(tally.lower, 0) << c.name;
+      if (c.settles) {
+        EXPECT_GT(tally.exact, 0) << c.name;
+      } else {
+        EXPECT_EQ(tally.exact, 0) << c.name;
+      }
     } else {
       EXPECT_EQ(tally.closed_form, 0) << c.name;
     }
   }
+}
+
+// The RM resolves the analyzer counters once, for every job it starts; a
+// run that never starts a job must not list them (its counter dump is part
+// of the recorded output).
+TEST(ResourceManagerTest, AnalyzerCountersAppearWithTheFirstJob) {
+  const auto has_analyzer_counters = [](const Registry& registry) {
+    for (const CounterSnapshot& c : registry.Snapshot().counters) {
+      if (c.name.rfind("analyzer.", 0) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  Registry registry;
+  Simulation sim(&registry);
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  rm.Start();
+  sim.RunUntil(kSecond);
+  EXPECT_FALSE(has_analyzer_counters(registry));
+  rm.StartJob(0, FastLinearProfile(), 8, sim.now());
+  rm.StartJob(1, FastLinearProfile(), 8, sim.now());
+  sim.RunUntil(120 * kSecond);
+  EXPECT_EQ(rm.running_jobs(), 0);
+  EXPECT_TRUE(has_analyzer_counters(registry));
+  EXPECT_EQ(registry.counter("analyzer.baselines_done")->value(), 2);
+  EXPECT_GT(registry.counter("analyzer.reports")->value(), 0);
 }
 
 TEST(ResourceManagerDeathTest, DuplicateJobIdAborts) {
