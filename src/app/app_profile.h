@@ -58,6 +58,9 @@ struct AppProfile {
   // CPU demand (processor-seconds) when run with its default request; used
   // by the workload generator to hit a target machine load.
   double CpuDemandAtRequest() const;
+
+  // Field-wise; the speedup models compare by identity.
+  bool operator==(const AppProfile&) const = default;
 };
 
 // Factory functions for the paper's applications.

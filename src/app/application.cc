@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/logging.h"
 
@@ -14,24 +15,60 @@ namespace {
 // snap no run would ever become elidable (see ResourceManager).
 constexpr int kWarmupSettleMultiple = 5;
 
+// End instants of the iteration run being collected by Integrate. One per
+// thread, not per application: a run is handed to the observer before
+// Integrate returns, and the buffer's capacity, sized by the longest span,
+// is then reused by every application this thread advances.
+std::vector<SimTime>& RunBuffer() {
+  thread_local std::vector<SimTime> buffer;
+  return buffer;
+}
+
 }  // namespace
 
 Application::Application(JobId id, AppProfile profile, AppCosts costs, HotStateArena* hot,
                          int slot)
-    : id_(id), profile_(std::move(profile)), costs_(costs), request_(profile_.default_request) {
-  PDPA_CHECK_GT(profile_.sequential_work_s, 0.0);
-  PDPA_CHECK_GT(profile_.iterations, 0);
-  work_per_iter_s_ = profile_.sequential_work_s / profile_.iterations;
+    : owned_profile_(std::move(profile)), costs_(costs) {
   if (hot == nullptr) {
     own_arena_ = std::make_unique<HotStateArena>();
-    hot_ = own_arena_.get();
-    slot_ = 0;
-  } else {
-    hot_ = hot;
-    slot_ = static_cast<std::size_t>(slot);
+    hot = own_arena_.get();
+    slot = 0;
   }
-  hot_->EnsureSlot(static_cast<int>(slot_));
-  // Reset this slot's dynamics columns (a reused slot may hold the previous
+  hot_ = hot;
+  slot_ = static_cast<std::size_t>(slot);
+  hot_->EnsureSlot(slot);
+  Reset(id, &owned_profile_);
+}
+
+Application::Application(JobId id, const AppProfile* profile, AppCosts costs, HotStateArena* hot,
+                         int slot)
+    : costs_(costs), hot_(hot), slot_(static_cast<std::size_t>(slot)) {
+  PDPA_CHECK(hot != nullptr);
+  hot_->EnsureSlot(slot);
+  Reset(id, profile);
+}
+
+void Application::Reset(JobId id, const AppProfile* profile) {
+  PDPA_CHECK(profile != nullptr);
+  PDPA_CHECK_GT(profile->sequential_work_s, 0.0);
+  PDPA_CHECK_GT(profile->iterations, 0);
+  id_ = id;
+  profile_ = profile;
+  request_ = profile->default_request;
+  work_per_iter_s_ = profile->sequential_work_s / profile->iterations;
+  finish_time_ = 0;
+  forced_procs_ = 0;
+  rigid_ = false;
+  warm_procs_ = 0.0;
+  warm_until_ = 0;
+  frozen_until_ = 0;
+  progress_s_ = 0.0;
+  completed_iterations_ = 0;
+  iter_start_wall_ = 0;
+  iter_clean_ = true;
+  steady_procs_ = -1;
+  steady_speed_ = 0.0;
+  // Reset this slot's dynamics columns (a reused slot holds the previous
   // tenant's values); the identity columns belong to the arena owner.
   HotStateArena& h = *hot_;
   h.alloc[slot_] = 0;
@@ -133,19 +170,19 @@ double Application::SpeedAt(double p_eff) const {
     // CPUs bound the rate, with a folding overhead when oversubscribed.
     const double fold = std::min(1.0, p_eff / std::max(1, request_));
     const double overhead = fold < 1.0 ? costs_.folding_overhead : 1.0;
-    return profile_.speedup->SpeedupAt(std::max(1, request_)) * fold * overhead;
+    return profile_->speedup->SpeedupAt(std::max(1, request_)) * fold * overhead;
   }
-  return profile_.speedup->SpeedupAt(std::max(1.0, p_eff));
+  return profile_->speedup->SpeedupAt(std::max(1.0, p_eff));
 }
 
 double Application::MaxSpeed() const {
   const int request = std::max(1, request_);
   if (rigid_) {
-    return profile_.speedup->SpeedupAt(request) * std::max(1.0, costs_.folding_overhead);
+    return profile_->speedup->SpeedupAt(request) * std::max(1.0, costs_.folding_overhead);
   }
   // SpeedAt clamps the effective count to at least one processor, and the
   // allocation never exceeds the request.
-  return profile_.speedup->MaxSpeedupOver(1.0, request);
+  return profile_->speedup->MaxSpeedupOver(1.0, request);
 }
 
 double Application::SteadySpeed() const {
@@ -153,7 +190,11 @@ double Application::SteadySpeed() const {
   if (procs <= 0) {
     return 0.0;
   }
-  return SpeedAt(static_cast<double>(procs));
+  if (procs != steady_procs_) {
+    steady_speed_ = SpeedAt(static_cast<double>(procs));
+    steady_procs_ = procs;
+  }
+  return steady_speed_;
 }
 
 void Application::Advance(SimTime now, SimDuration dt) {
@@ -185,7 +226,7 @@ void Application::Advance(SimTime now, SimDuration dt) {
   } else {
     warm_procs_ = target;
   }
-  Integrate(now, dt, SpeedAt(p_eff), procs);
+  Integrate(now, dt, p_eff == target ? SteadySpeed() : SpeedAt(p_eff), procs);
   PublishHot(now + dt);
 }
 
@@ -201,7 +242,7 @@ void Application::AdvanceTimeShared(SimTime now, SimDuration dt, double effectiv
   if (p <= 0.0) {
     return;
   }
-  const double speed = profile_.speedup->SpeedupAt(std::max(1.0, p)) * overhead_factor;
+  const double speed = profile_->speedup->SpeedupAt(std::max(1.0, p)) * overhead_factor;
   Integrate(now, dt, speed, static_cast<int>(std::lround(std::max(1.0, p))));
   PublishHot(now + dt);
 }
@@ -223,24 +264,25 @@ bool Application::ElisionReady(SimTime now) const {
 SimTime Application::NextBoundaryTime(SimTime now) const { return BoundaryTimeAhead(1, now); }
 
 SimTime Application::BoundaryTimeAhead(int iterations_ahead, SimTime now) const {
-  const HotStateArena& h = *hot_;
-  const double speed = SteadySpeed();
-  if (speed <= 0.0 || h.finished[slot_]) {
+  const SegmentAnchor anchor = SteadyAnchor(now);
+  if (anchor.speed <= 0.0) {
     return kHorizonNever;
   }
+  return BoundaryAt(anchor, completed_iterations_ + iterations_ahead);
+}
+
+SegmentAnchor Application::SteadyAnchor(SimTime now) const {
+  const HotStateArena& h = *hot_;
+  const double speed = h.finished[slot_] ? 0.0 : SteadySpeed();
   // Select the anchor exactly like Integrate will: continue the live segment
-  // when it abuts `now` at the same speed, else start a fresh one here. The
-  // boundary value is the same `work_per_iter_s_ * index` double Integrate
-  // crosses, so a coarse span reproduces the fine-tick instant bit for bit
-  // for *every* boundary on the steady segment, not just the next one.
-  SimTime anchor_t = now;
-  double anchor_p = progress_s_;
+  // when it abuts `now` at the same speed, else start a fresh one here.
+  // BoundaryAt crosses the same `work_per_iter_s_ * index` double Integrate
+  // does, so a coarse span reproduces the fine-tick instant bit for bit for
+  // *every* boundary on the steady segment, not just the next one.
   if (h.seg_valid[slot_] && h.seg_speed[slot_] == speed && h.seg_end[slot_] == now) {
-    anchor_t = h.seg_start[slot_];
-    anchor_p = h.seg_progress[slot_];
+    return SegmentAnchor{h.seg_start[slot_], h.seg_progress[slot_], speed};
   }
-  const double boundary = work_per_iter_s_ * (completed_iterations_ + iterations_ahead);
-  return anchor_t + SecondsToTime((boundary - anchor_p) / speed);
+  return SegmentAnchor{now, progress_s_, speed};
 }
 
 void Application::PublishHot(SimTime now) {
@@ -293,25 +335,51 @@ void Application::Integrate(SimTime now, SimDuration dt, double speed, int procs
     ++h.change_epoch[slot_];
   }
 
+  // Boundary instants are measured from the segment anchor — the same value
+  // no matter how the segment was chopped into Advance spans. The anchor is
+  // NOT moved at crossings: every boundary of the segment is computed from
+  // the segment start, so the microsecond rounding of one boundary never
+  // accumulates into the next (each is within half a microsecond of the
+  // continuous-time instant).
+  const SegmentAnchor anchor{h.seg_start[slot_], h.seg_progress[slot_], speed};
+  // A settled observer takes the span's iterations as one run, collected
+  // here; until then each one is delivered as it is crossed, since the
+  // observer may change this application in response.
+  std::vector<SimTime>& run_ends = RunBuffer();
+  IterationRun run;
+  bool batching = false;
   while (!h.finished[slot_]) {
-    const double next_boundary = work_per_iter_s_ * (completed_iterations_ + 1);
-    // Boundary instant measured from the segment anchor — the same value no
-    // matter how the segment was chopped into Advance spans. The anchor is
-    // NOT moved at crossings: every boundary of the segment is computed from
-    // the segment start, so the microsecond rounding of one boundary never
-    // accumulates into the next (each is within half a microsecond of the
-    // continuous-time instant).
-    const SimTime boundary_at =
-        h.seg_start[slot_] + SecondsToTime((next_boundary - h.seg_progress[slot_]) / speed);
+    const SimTime boundary_at = BoundaryAt(anchor, completed_iterations_ + 1);
     if (boundary_at > end) {
       break;
     }
-    progress_s_ = next_boundary;
-    FinishIteration(boundary_at, procs_label);
-    if (completed_iterations_ >= profile_.iterations) {
+    progress_s_ = work_per_iter_s_ * (completed_iterations_ + 1);
+    if (!batching && observer_ != nullptr && observer_->batches_runs()) {
+      batching = true;
+      run_ends.clear();
+      run.first_index = completed_iterations_;
+      run.start_wall = iter_start_wall_;
+      run.procs = procs_label;
+      run.first_clean = iter_clean_;
+    }
+    if (batching) {
+      run_ends.push_back(boundary_at);
+      ++completed_iterations_;
+    } else {
+      FinishIteration(boundary_at, procs_label);
+    }
+    if (completed_iterations_ >= profile_->iterations) {
       h.finished[slot_] = 1;
       finish_time_ = boundary_at;
     }
+  }
+  if (batching) {
+    run.end_times = run_ends.data();
+    run.count = static_cast<int>(run_ends.size());
+    iter_start_wall_ = run_ends.back();
+    iter_clean_ = true;
+    h.change_epoch[slot_] += run_ends.size();
+    observer_->OnIterationRun(run);
   }
   if (!h.finished[slot_]) {
     // Anchor-relative progress; the clamp keeps a boundary whose instant
@@ -334,8 +402,8 @@ void Application::FinishIteration(SimTime when, int procs_label) {
   iter_start_wall_ = when;
   iter_clean_ = true;
   ++hot_->change_epoch[slot_];
-  if (on_iteration_) {
-    on_iteration_(record);
+  if (observer_ != nullptr) {
+    observer_->OnIteration(record);
   }
 }
 

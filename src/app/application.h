@@ -27,7 +27,6 @@
 #define SRC_APP_APPLICATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "src/app/app_profile.h"
@@ -64,33 +63,101 @@ struct IterationRecord {
   bool clean = false;
 };
 
+// Consecutive iterations completed in one integration span at one speed:
+// a compact form of `count` IterationRecords. Record k has index
+// first_index + k, end_time end_times[k], wall_time end_times[k] minus the
+// previous end (start_wall for k == 0), procs `procs`, and is clean except
+// that record 0 carries `first_clean`.
+struct IterationRun {
+  int first_index = 0;
+  SimTime start_wall = 0;
+  int procs = 0;
+  bool first_clean = true;
+  const SimTime* end_times = nullptr;
+  int count = 0;
+
+  IterationRecord Record(int k) const {
+    const SimTime begin = k == 0 ? start_wall : end_times[k - 1];
+    return IterationRecord{first_index + k, end_times[k], end_times[k] - begin, procs,
+                           k == 0 ? first_clean : true};
+  }
+};
+
+// Receiver of an application's completed iterations (the SelfAnalyzer in a
+// simulated job). Each iteration is delivered exactly once, in order.
+class IterationObserver {
+ public:
+  // One iteration, delivered while the integration loop is still running:
+  // the observer may change the application (its processor override) and
+  // later iterations see the change.
+  virtual void OnIteration(const IterationRecord& record) = 0;
+  // True once the observer can no longer change the application. From then
+  // on the application hands every iteration crossed in one span to
+  // OnIterationRun in one call, after the span is integrated.
+  virtual bool batches_runs() const { return false; }
+  virtual void OnIterationRun(const IterationRun& run) {
+    for (int k = 0; k < run.count; ++k) {
+      OnIteration(run.Record(k));
+    }
+  }
+
+ protected:
+  ~IterationObserver() = default;
+};
+
+// Linear progress from an anchor: progress at t is
+// progress + (t - t0) * speed (see Application::SteadyAnchor).
+struct SegmentAnchor {
+  SimTime t0 = 0;
+  double progress = 0.0;
+  double speed = 0.0;
+
+  bool operator==(const SegmentAnchor&) const = default;
+};
+
 class Application {
  public:
-  using IterationCallback = std::function<void(const IterationRecord&)>;
-
-  // When `hot` is null the application allocates a private single-slot
-  // arena (standalone use in tests); otherwise it adopts `slot` of the
-  // caller's arena and becomes the sole writer of that slot's dynamics
-  // columns. The slot's dynamics columns are reset; the identity columns
-  // (job_id, arrival, ...) are left to the arena owner.
+  // Standalone construction (tests, examples): the application keeps its
+  // own copy of `profile`. When `hot` is null it also allocates a private
+  // single-slot arena; otherwise it adopts `slot` of the caller's arena and
+  // becomes the sole writer of that slot's dynamics columns. The slot's
+  // dynamics columns are reset; the identity columns (job_id, arrival, ...)
+  // are left to the arena owner.
   Application(JobId id, AppProfile profile, AppCosts costs = AppCosts{},
               HotStateArena* hot = nullptr, int slot = 0);
+  // Resident construction: borrows `*profile`, which must outlive every use
+  // of this application (the resource manager interns it).
+  Application(JobId id, const AppProfile* profile, AppCosts costs, HotStateArena* hot, int slot);
+
+  Application(const Application&) = delete;
+  Application& operator=(const Application&) = delete;
+
+  // Re-initializes this application in place for a new job borrowing
+  // `*profile`: the result is indistinguishable from resident construction
+  // with the same arguments (costs, arena slot and observer are kept).
+  void Reset(JobId id, const AppProfile* profile);
 
   JobId id() const { return id_; }
-  const AppProfile& profile() const { return profile_; }
+  const AppProfile& profile() const { return *profile_; }
   int request() const { return request_; }
-  void set_request(int request) { request_ = request; }
+  void set_request(int request) {
+    request_ = request;
+    steady_procs_ = -1;
+  }
 
   // Rigid (MPI-like) execution: the application always runs `request`
   // processes. When allocated fewer CPUs the processes are *folded*
   // (time-sliced two-or-more per CPU) at a multiplicative overhead — the
   // binding/folding approach of the paper's future-work section. Must be
   // set before Start().
-  void set_rigid(bool rigid) { rigid_ = rigid; }
+  void set_rigid(bool rigid) {
+    rigid_ = rigid;
+    steady_procs_ = -1;
+  }
   bool rigid() const { return rigid_; }
 
-  // Invoked at every completed outer-loop iteration.
-  void set_iteration_callback(IterationCallback callback) { on_iteration_ = std::move(callback); }
+  // Receives every completed outer-loop iteration. Borrowed; null detaches.
+  void set_observer(IterationObserver* observer) { observer_ = observer; }
 
   // Marks the job as running; the first allocation must already be in place.
   void Start(SimTime now);
@@ -124,7 +191,7 @@ class Application {
 
   // Sequential-equivalent seconds of work completed / total.
   double progress_s() const { return progress_s_; }
-  double total_work_s() const { return profile_.sequential_work_s; }
+  double total_work_s() const { return profile_->sequential_work_s; }
   int completed_iterations() const { return completed_iterations_; }
 
   // --- Event-horizon support (see ResourceManager) -------------------------
@@ -148,8 +215,20 @@ class Application {
   // every predicted instant is bit-exact. Requires ElisionReady(now).
   SimTime BoundaryTimeAhead(int iterations_ahead, SimTime now) const;
 
+  // The anchor Integrate will continue from `now` at steady speed: the live
+  // segment when it abuts `now` at that speed, else (now, progress). Speed 0
+  // when the application cannot progress.
+  SegmentAnchor SteadyAnchor(SimTime now) const;
+  // Instant at which boundary `index` (absolute: the end of iteration
+  // index - 1) is crossed from `anchor`; the arithmetic Integrate uses.
+  SimTime BoundaryAt(const SegmentAnchor& anchor, int index) const {
+    const double boundary = work_per_iter_s_ * index;
+    return anchor.t0 + SecondsToTime((boundary - anchor.progress) / anchor.speed);
+  }
+
   // Iterations left until the final boundary (the completion instant).
-  int remaining_iterations() const { return profile_.iterations - completed_iterations_; }
+  int remaining_iterations() const { return profile_->iterations - completed_iterations_; }
+  int total_iterations() const { return profile_->iterations; }
 
   // Fastest rate (sequential-equivalent seconds per wall second) the job can
   // ever progress at under space sharing: the maximum of its speed over
@@ -176,13 +255,17 @@ class Application {
   // Speed at a given effective processor value (shared by Advance and the
   // steady-state horizon prediction so both produce identical doubles).
   double SpeedAt(double p_eff) const;
-  // Speed once the warmup ramp has converged to the current effective count.
+  // Speed once the warmup ramp has converged to the current effective count;
+  // cached per effective-processor count.
   double SteadySpeed() const;
 
   void FinishIteration(SimTime when, int procs_label);
 
-  JobId id_;
-  AppProfile profile_;
+  JobId id_ = kIdleJob;
+  // Standalone construction's copy; profile_ points here or at a borrowed
+  // (interned) profile.
+  AppProfile owned_profile_;
+  const AppProfile* profile_ = nullptr;
   AppCosts costs_;
   int request_ = 0;
 
@@ -210,7 +293,11 @@ class Application {
   SimTime iter_start_wall_ = 0;
   bool iter_clean_ = true;
 
-  IterationCallback on_iteration_;
+  // SteadySpeed() at steady_procs_ effective processors (-1: none cached).
+  mutable int steady_procs_ = -1;
+  mutable double steady_speed_ = 0.0;
+
+  IterationObserver* observer_ = nullptr;
 };
 
 }  // namespace pdpa

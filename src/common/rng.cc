@@ -15,8 +15,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,25 +23,6 @@ Rng::Rng(std::uint64_t seed) {
     word = SplitMix64(s);
   }
 }
-
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 int Rng::UniformInt(int lo, int hi) {
   PDPA_CHECK_LE(lo, hi);

@@ -15,14 +15,24 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  // Uniform 64-bit value.
-  std::uint64_t NextU64();
+  // Uniform 64-bit value (xoshiro256**).
+  std::uint64_t NextU64() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double NextDouble();
+  // Uniform double in [0, 1): the 53 high bits of NextU64.
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
-  double Uniform(double lo, double hi);
+  double Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
   // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int UniformInt(int lo, int hi);
@@ -38,7 +48,12 @@ class Rng {
   // draw in data-dependent order.
   Rng Fork();
 
+  // Same state: both streams draw the same values from here on.
+  bool operator==(const Rng&) const = default;
+
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t state_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;

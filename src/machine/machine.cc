@@ -6,26 +6,15 @@
 
 namespace pdpa {
 
-Machine::Machine(int usable_cpus) : num_cpus_(usable_cpus) {
+Machine::Machine(int usable_cpus) : num_cpus_(usable_cpus), free_cpus_(usable_cpus) {
   PDPA_CHECK_GT(usable_cpus, 0);
   PDPA_CHECK_LE(usable_cpus, kMaxCpus);
   owner_.assign(static_cast<std::size_t>(usable_cpus), kIdleJob);
 }
 
-int Machine::FreeCpus() const {
-  int free = 0;
-  for (JobId owner : owner_) {
-    if (owner == kIdleJob) {
-      ++free;
-    }
-  }
-  return free;
-}
-
-JobId Machine::OwnerOf(int cpu) const {
-  PDPA_CHECK_GE(cpu, 0);
-  PDPA_CHECK_LT(cpu, num_cpus_);
-  return owner_[static_cast<std::size_t>(cpu)];
+void Machine::AuditInvariants() const {
+  const auto scanned = std::count(owner_.begin(), owner_.end(), kIdleJob);
+  PDPA_CHECK_EQ(free_cpus_, static_cast<int>(scanned)) << "free-CPU count out of step";
 }
 
 CpuSet Machine::CpusOf(JobId job) const {
@@ -85,7 +74,7 @@ std::vector<CpuHandoff> Machine::ApplyAllocation(const std::map<JobId, int>& tar
     int excess = count - want;
     for (int cpu = num_cpus_ - 1; cpu >= 0 && excess > 0; --cpu) {
       if (owner_[static_cast<std::size_t>(cpu)] == job) {
-        owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
+        Assign(static_cast<std::size_t>(cpu), kIdleJob);
         handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
         --excess;
       }
@@ -117,7 +106,7 @@ std::vector<CpuHandoff> Machine::ApplyAllocation(const std::map<JobId, int>& tar
         if (!collapsed) {
           handoffs.push_back(CpuHandoff{cpu, kIdleJob, job});
         }
-        owner_[static_cast<std::size_t>(cpu)] = job;
+        Assign(static_cast<std::size_t>(cpu), job);
         ++have;
       }
     }
@@ -126,12 +115,12 @@ std::vector<CpuHandoff> Machine::ApplyAllocation(const std::map<JobId, int>& tar
   return handoffs;
 }
 
-std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId, int>>& target) {
+void Machine::ApplyPartial(const std::vector<std::pair<JobId, int>>& target,
+                           std::vector<CpuHandoff>* handoffs_out) {
   // Validate before mutating: the named jobs' growth must fit in the CPUs
   // they free plus the idle pool (other jobs are untouched by contract).
   int want_total = 0;
   int have_total = 0;
-  int free = 0;
   for (const auto& [job, count] : target) {
     PDPA_CHECK_GE(count, 0) << "job " << job;
     want_total += count;
@@ -139,7 +128,6 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
   for (int cpu = 0; cpu < num_cpus_; ++cpu) {
     const JobId owner = owner_[static_cast<std::size_t>(cpu)];
     if (owner == kIdleJob) {
-      ++free;
       continue;
     }
     for (const auto& [job, count] : target) {
@@ -149,9 +137,10 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
       }
     }
   }
-  PDPA_CHECK_LE(want_total, have_total + free);
+  PDPA_CHECK_LE(want_total, have_total + free_cpus_);
 
-  std::vector<CpuHandoff> handoffs;
+  std::vector<CpuHandoff>& handoffs = *handoffs_out;
+  handoffs.clear();
 
   // Phase 1: shrink, ascending JobId (the input is sorted), releasing the
   // highest-numbered CPUs first — identical order to ApplyAllocation
@@ -160,7 +149,7 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
     int excess = CountOf(job) - want;
     for (int cpu = num_cpus_ - 1; cpu >= 0 && excess > 0; --cpu) {
       if (owner_[static_cast<std::size_t>(cpu)] == job) {
-        owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
+        Assign(static_cast<std::size_t>(cpu), kIdleJob);
         handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
         --excess;
       }
@@ -185,30 +174,22 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
         if (!collapsed) {
           handoffs.push_back(CpuHandoff{cpu, kIdleJob, job});
         }
-        owner_[static_cast<std::size_t>(cpu)] = job;
+        Assign(static_cast<std::size_t>(cpu), job);
         ++have;
       }
     }
     PDPA_CHECK_EQ(have, want) << "job " << job;
   }
-  return handoffs;
 }
 
-std::vector<CpuHandoff> Machine::ReleaseJob(JobId job) {
-  std::vector<CpuHandoff> handoffs;
+void Machine::ReleaseJob(JobId job, std::vector<CpuHandoff>* handoffs) {
+  handoffs->clear();
   for (int cpu = 0; cpu < num_cpus_; ++cpu) {
     if (owner_[static_cast<std::size_t>(cpu)] == job) {
-      owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
-      handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
+      Assign(static_cast<std::size_t>(cpu), kIdleJob);
+      handoffs->push_back(CpuHandoff{cpu, job, kIdleJob});
     }
   }
-  return handoffs;
-}
-
-void Machine::SetOwner(int cpu, JobId job) {
-  PDPA_CHECK_GE(cpu, 0);
-  PDPA_CHECK_LT(cpu, num_cpus_);
-  owner_[static_cast<std::size_t>(cpu)] = job;
 }
 
 }  // namespace pdpa

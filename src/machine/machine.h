@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/logging.h"
 #include "src/machine/cpuset.h"
 
 namespace pdpa {
@@ -31,9 +32,14 @@ class Machine {
   explicit Machine(int usable_cpus);
 
   int num_cpus() const { return num_cpus_; }
-  int FreeCpus() const;
+  // O(1): kept current by every ownership change.
+  int FreeCpus() const { return free_cpus_; }
 
-  JobId OwnerOf(int cpu) const;
+  JobId OwnerOf(int cpu) const {
+    PDPA_CHECK_GE(cpu, 0);
+    PDPA_CHECK_LT(cpu, num_cpus_);
+    return owner_[static_cast<std::size_t>(cpu)];
+  }
   CpuSet CpusOf(JobId job) const;
   int CountOf(JobId job) const;
 
@@ -51,20 +57,38 @@ class Machine {
   // Like ApplyAllocation, but touches only the jobs named in `target`
   // (sorted ascending by JobId); every other job keeps its CPUs untouched.
   // This is the resource manager's hot path: plans name a handful of jobs,
-  // so there is no need to materialize a full-machine map. Produces exactly
-  // the handoffs ApplyAllocation would for a full map that names all other
-  // jobs at their current counts.
-  std::vector<CpuHandoff> ApplyPartial(const std::vector<std::pair<JobId, int>>& target);
+  // so there is no need to materialize a full-machine map. Overwrites
+  // *handoffs with exactly the handoffs ApplyAllocation would return for a
+  // full map that names all other jobs at their current counts. The caller
+  // owns the buffer, so a steady-state decision allocates nothing.
+  void ApplyPartial(const std::vector<std::pair<JobId, int>>& target,
+                    std::vector<CpuHandoff>* handoffs);
 
-  // Releases every CPU owned by `job` (job completion).
-  std::vector<CpuHandoff> ReleaseJob(JobId job);
+  // Releases every CPU owned by `job` (job completion); overwrites
+  // *handoffs with one release per CPU, ascending.
+  void ReleaseJob(JobId job, std::vector<CpuHandoff>* handoffs);
 
   // Direct single-CPU assignment, used by the time-sharing (IRIX) model that
   // bypasses space-sharing partitions.
-  void SetOwner(int cpu, JobId job);
+  void SetOwner(int cpu, JobId job) {
+    PDPA_CHECK_GE(cpu, 0);
+    PDPA_CHECK_LT(cpu, num_cpus_);
+    Assign(static_cast<std::size_t>(cpu), job);
+  }
+
+  // Checks the free-CPU count against a full scan; the resource manager's
+  // audit calls it in PDPA_AUDIT builds.
+  void AuditInvariants() const;
 
  private:
+  // The one writer of owner_, keeping free_cpus_ in step.
+  void Assign(std::size_t cpu, JobId job) {
+    free_cpus_ += (job == kIdleJob) - (owner_[cpu] == kIdleJob);
+    owner_[cpu] = job;
+  }
+
   int num_cpus_;
+  int free_cpus_;
   std::vector<JobId> owner_;  // indexed by cpu
 };
 

@@ -55,7 +55,7 @@ AllocationPlan McCannDynamic::Redistribute(const PolicyContext& ctx) const {
   // water-filling, like Equipartition, but with the dynamic caps — this is
   // what moves processors away from applications with reported idleness the
   // moment the report arrives.
-  std::map<JobId, int> cap;
+  AllocationPlan cap;
   for (const PolicyJobInfo& job : ctx.jobs) {
     const auto it = useful_.find(job.id);
     const int useful = it == useful_.end() ? job.request : it->second;

@@ -7,7 +7,6 @@
 #ifndef SRC_RM_POLICY_H_
 #define SRC_RM_POLICY_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "src/machine/machine.h"
 #include "src/obs/counters.h"
 #include "src/obs/event_log.h"
+#include "src/rm/allocation_plan.h"
 #include "src/runtime/self_analyzer.h"
 
 namespace pdpa {
@@ -52,9 +52,8 @@ struct PolicyContext {
   std::vector<PolicyJobInfo> jobs;
 };
 
-// A reallocation plan: target processor count per job. Jobs omitted from the
-// plan keep their current allocation.
-using AllocationPlan = std::map<JobId, int>;
+// A reallocation plan (src/rm/allocation_plan.h): target processor count
+// per job. Jobs omitted from the plan keep their current allocation.
 
 class SchedulingPolicy {
  public:

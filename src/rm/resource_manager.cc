@@ -5,9 +5,16 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/strings.h"
+#include "src/common/fmt.h"
 
 namespace pdpa {
+namespace {
+
+// Boundaries MaterialStop inspects below a settled job's completion for its
+// penultimate drain tick.
+constexpr int kDrainWalkCap = 64;
+
+}  // namespace
 
 // Audit hook: active only in PDPA_AUDIT builds (the CI Debug job); expands
 // to nothing otherwise so the hot path carries no trace of it.
@@ -207,28 +214,29 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
   // running jobs to the same point before the machine changes under them.
   CatchUp(now);
 
-  // The slot index must exist before the Application is built: the app
-  // adopts the slot's dynamics columns in the shared hot-state arena.
+  // The slot index must exist before the Application is built or reset: the
+  // app adopts the slot's dynamics columns in the shared hot-state arena.
   const int slot = AllocateSlot();
   hot_.EnsureSlot(slot);
-  auto app =
-      std::make_unique<Application>(job, profile, params_.app_costs, &hot_, slot);
-  app->set_request(effective_request);
-  app->set_rigid(rigid);
   if (analyzer_counters_.reports == nullptr) {
     // Bound at the first start, not in the constructor: a run that never
     // starts a job lists no analyzer counters in its recorded dump.
     analyzer_counters_ = AnalyzerCounters::Bind(*registry_);
   }
-  const double max_speed = app->MaxSpeed();
-  auto binding = std::make_unique<NthLibBinding>(std::move(app), params_.analyzer, rng_.Fork(),
-                                                 analyzer_counters_);
-  binding->set_report_callback(
-      [this](const PerfReport& report) { pending_reports_.push_back(report); });
-
+  const AppProfile* interned = Intern(profile);
+  RunningJob& running = slots_[static_cast<std::size_t>(slot)];
+  if (running.binding == nullptr) {
+    running.binding = std::make_unique<NthLibBinding>(
+        std::make_unique<Application>(job, interned, params_.app_costs, &hot_, slot),
+        params_.analyzer, rng_.Fork(), analyzer_counters_);
+    running.binding->set_report_sink(&pending_reports_);
+  } else {
+    running.binding->Reset(job, interned, rng_.Fork());
+  }
+  Application& app = running.binding->app();
+  app.set_request(effective_request);
+  app.set_rigid(rigid);
   {
-    RunningJob& running = slots_[static_cast<std::size_t>(slot)];
-    running.binding = std::move(binding);
     running.id = job;
     const std::size_t s = static_cast<std::size_t>(slot);
     hot_.job_id[s] = job;
@@ -240,7 +248,10 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
     running.last_efficiency = 0.0;
     running.sampled_integral_us = 0.0;
     running.last_sample = now;
-    running.max_speed = max_speed;
+    running.material_stop = 0;
+    running.material_epoch = ~0ull;
+    running.max_speed = app.MaxSpeed();
+    running.settled.valid = false;
   }
   if (static_cast<std::size_t>(job) >= slot_of_job_.size()) {
     slot_of_job_.resize(static_cast<std::size_t>(job) + 1, -1);
@@ -293,8 +304,21 @@ int ResourceManager::AllocationOf(JobId job) const {
   return slot < 0 ? 0 : hot_.alloc[static_cast<std::size_t>(slot)];
 }
 
+const AppProfile* ResourceManager::Intern(const AppProfile& profile) {
+  for (const std::unique_ptr<const AppProfile>& interned : profiles_) {
+    if (interned->speedup == profile.speedup && *interned == profile) {
+      return interned.get();
+    }
+  }
+  profiles_.push_back(std::make_unique<const AppProfile>(profile));
+  return profiles_.back().get();
+}
+
 std::map<JobId, double> ResourceManager::alloc_integral_us() const {
-  std::map<JobId, double> merged = finished_integral_us_;
+  std::map<JobId, double> merged;
+  for (const auto& [job, integral] : finished_integral_us_) {
+    merged[job] = integral;
+  }
   for (int slot : order_) {
     const std::size_t s = static_cast<std::size_t>(slot);
     merged[hot_.job_id[s]] = hot_.alloc_integral_us[s];
@@ -304,6 +328,7 @@ std::map<JobId, double> ResourceManager::alloc_integral_us() const {
 
 #ifdef PDPA_AUDIT
 void ResourceManager::AuditInvariants(const char* where) const {
+  machine_.AuditInvariants();
   // Every owned CPU belongs to a job with a live slot. Machine::owner_ is
   // single-valued per CPU, so double-ownership cannot be represented; the
   // reachable failure mode is a CPU still booked to a released job.
@@ -347,7 +372,7 @@ void ResourceManager::ApplyPlan(const AllocationPlan& plan, SimTime now, const c
   // CPUs untouched (ApplyPartial), so no full-machine map is materialized.
   // A plan may include the not-yet-started newcomer whose allocation is 0.
   plan_scratch_.clear();
-  std::string plan_text;
+  plan_text_.clear();
   for (const auto& [job, count] : plan) {
     const int slot = SlotOf(job);
     if (slot < 0) {
@@ -356,20 +381,23 @@ void ResourceManager::ApplyPlan(const AllocationPlan& plan, SimTime now, const c
     const int clamped = std::clamp(count, 1, hot_.request[static_cast<std::size_t>(slot)]);
     plan_scratch_.emplace_back(job, clamped);
     if (events_ != nullptr) {
-      if (!plan_text.empty()) {
-        plan_text.push_back(' ');
+      if (!plan_text_.empty()) {
+        plan_text_.push_back(' ');
       }
-      plan_text += StrFormat("%d:%d", job, clamped);
+      AppendInt(&plan_text_, job);
+      plan_text_.push_back(':');
+      AppendInt(&plan_text_, clamped);
     }
   }
   plans_applied_->Increment();
-  if (events_ != nullptr && !plan_text.empty()) {
-    events_->AllocDecision(now, trigger, plan_text);
+  if (events_ != nullptr && !plan_text_.empty()) {
+    events_->AllocDecision(now, trigger, plan_text_);
   }
   if (plan_scratch_.empty()) {
     return;
   }
-  const std::vector<CpuHandoff> handoffs = machine_.ApplyPartial(plan_scratch_);
+  machine_.ApplyPartial(plan_scratch_, &handoffs_);
+  const std::vector<CpuHandoff>& handoffs = handoffs_;
   if (trace_ != nullptr) {
     trace_->OnHandoffs(now, handoffs);
   }
@@ -505,17 +533,17 @@ void ResourceManager::CheckCompletions(SimTime now) {
     const SimTime finish_time = running.binding->app().finish_time();
     // Final partial window, so per-job time-series integrals are exact.
     FlushAppSample(slot, finish_time);
-    const std::vector<CpuHandoff> handoffs = machine_.ReleaseJob(job);
+    machine_.ReleaseJob(job, &handoffs_);
     if (trace_ != nullptr) {
-      trace_->OnHandoffs(now, handoffs);
+      trace_->OnHandoffs(now, handoffs_);
     }
-    cpu_handoffs_->Increment(static_cast<long long>(handoffs.size()));
+    cpu_handoffs_->Increment(static_cast<long long>(handoffs_.size()));
     jobs_finished_->Increment();
     PDPA_LOG(Info) << "job " << job << " finished";
-    finished_integral_us_[job] = hot_.alloc_integral_us[s];
+    finished_integral_us_.emplace_back(job, hot_.alloc_integral_us[s]);
     slot_of_job_[static_cast<std::size_t>(job)] = -1;
+    // The binding stays resident for the slot's next job.
     running.id = kIdleJob;
-    running.binding.reset();
     hot_.ResetSlot(slot);
     free_slots_.push_back(slot);
     PDPA_RM_AUDIT("release");
@@ -684,8 +712,7 @@ SimTime ResourceManager::MaterialStop(int slot, SimTime now) {
       // are discarded without side effects and only completion matters.
       const bool can_engage =
           app.EffectiveProcs() == std::min(analyzer.baseline_procs(), app.allocated());
-      stop = can_engage ? GridCeil(next_b)
-                        : GridCeil(app.BoundaryTimeAhead(remaining, now));
+      stop = can_engage ? GridCeil(next_b) : SettledTicks(slot, now).fin;
     } else {
       // Settled: reports accumulate at boundaries but the passive policy
       // ignores them, so the only material instants left are the penultimate
@@ -694,25 +721,19 @@ SimTime ResourceManager::MaterialStop(int slot, SimTime now) {
       // it will ever drain for this job — and the completion tick, where
       // reports from boundaries sharing that grid instant are dropped
       // (CheckCompletions frees the slot before DrainReports runs).
-      const SimTime fin = CompletionTick(slot, now);
-      stop = fin;
-      // Bounded descending walk for the largest boundary with an earlier
-      // grid tick; a pathological pile-up of boundaries on the final tick
+      // The segment's drain boundary, if still ahead, gives the penultimate
+      // drain tick (fin once that tick has passed). A pathological pile-up
+      // of more than kDrainWalkCap remaining boundaries on the final tick
       // falls back to per-boundary stops (slower, identically scheduled).
-      constexpr int kWalkCap = 64;
-      int steps = 0;
-      for (int k = remaining - 1; k >= 1; --k) {
-        if (++steps > kWalkCap) {
-          stop = GridCeil(next_b);
-          break;
-        }
-        const SimTime g = GridCeil(app.BoundaryTimeAhead(k, now));
-        if (g < fin) {
-          if (g > now) {
-            stop = g;
-          }
-          break;
-        }
+      // Otherwise no remaining boundary drains before fin.
+      const SettledSegment& seg = SettledTicks(slot, now);
+      const int completed = app.total_iterations() - remaining;
+      if (seg.drain_index > completed) {
+        stop = seg.drain_tick > now ? seg.drain_tick : seg.fin;
+      } else if (seg.drain_index == 0 && remaining - 1 > kDrainWalkCap) {
+        stop = GridCeil(next_b);
+      } else {
+        stop = seg.fin;
       }
     }
   }
@@ -721,9 +742,37 @@ SimTime ResourceManager::MaterialStop(int slot, SimTime now) {
   return stop;
 }
 
-SimTime ResourceManager::CompletionTick(int slot, SimTime now) const {
-  const Application& app = slots_[static_cast<std::size_t>(slot)].binding->app();
-  return GridCeil(app.BoundaryTimeAhead(app.remaining_iterations(), now));
+const ResourceManager::SettledSegment& ResourceManager::SettledTicks(int slot,
+                                                                      SimTime now) const {
+  const RunningJob& rj = slots_[static_cast<std::size_t>(slot)];
+  const Application& app = rj.binding->app();
+  const SegmentAnchor anchor = app.SteadyAnchor(now);
+  SettledSegment& seg = rj.settled;
+  if (seg.valid && seg.anchor == anchor) {
+    return seg;
+  }
+  seg.valid = true;
+  seg.anchor = anchor;
+  seg.drain_index = 0;
+  seg.drain_tick = 0;
+  if (anchor.speed <= 0.0) {
+    seg.fin = GridCeil(kHorizonNever);
+    return seg;
+  }
+  const int total = app.total_iterations();
+  seg.fin = GridCeil(app.BoundaryAt(anchor, total));
+  // Descending walk for the largest pre-final boundary with an earlier grid
+  // tick: the penultimate drain tick. Bounded, so a pile-up of boundaries on
+  // the final tick costs at most kDrainWalkCap steps.
+  for (int index = total - 1; index >= std::max(1, total - kDrainWalkCap); --index) {
+    const SimTime tick = GridCeil(app.BoundaryAt(anchor, index));
+    if (tick < seg.fin) {
+      seg.drain_index = index;
+      seg.drain_tick = tick;
+      break;
+    }
+  }
+  return seg;
 }
 
 SimTime ResourceManager::NextVisibleBound(bool* exact) const {
@@ -748,7 +797,7 @@ SimTime ResourceManager::NextVisibleBound(bool* exact) const {
     const std::size_t s = static_cast<std::size_t>(slot);
     const NthLibBinding& binding = *slots_[s].binding;
     if (hot_.ready_at[s] <= advanced_to_ && binding.analyzer().baseline_done()) {
-      settled = std::min(settled, CompletionTick(slot, advanced_to_));
+      settled = std::min(settled, SettledTicks(slot, advanced_to_).fin);
       continue;
     }
     if (slots_[s].max_speed <= 0.0) {
@@ -843,9 +892,9 @@ void ResourceManager::OnTick(SimTime now) {
   // tick have settled, so windows end on post-decision state.
   if (now >= next_ts_sample_) {
     SampleTimeseries(now);
-    while (next_ts_sample_ <= now) {
-      next_ts_sample_ += params_.quantum;
-    }
+    // The first quantum instant past now, in one step: an elided tick may
+    // jump many quanta.
+    next_ts_sample_ += ((now - next_ts_sample_) / params_.quantum + 1) * params_.quantum;
   }
   if (on_state_change_) {
     on_state_change_(now);

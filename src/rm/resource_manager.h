@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -186,10 +187,25 @@ class ResourceManager {
   SimTime NextVisibleBound(bool* exact = nullptr) const;
 
  private:
+  // The completion and drain ticks of a settled job's steady segment, which
+  // stay valid while the segment's anchor does (see SettledTicks).
+  struct SettledSegment {
+    bool valid = false;
+    SegmentAnchor anchor;
+    // Completion tick: the grid tick of the final boundary.
+    SimTime fin = 0;
+    // Largest pre-final boundary index among the last kDrainWalkCap whose
+    // grid tick lies before fin (0: none does), and that tick.
+    int drain_index = 0;
+    SimTime drain_tick = 0;
+  };
+
   // Cold per-slot companion of the hot-state arena: the binding plus
   // sampling bookkeeping. Identity fields (arrival, request, rigid) live in
   // the arena's slot-parallel arrays.
   struct RunningJob {
+    // Slot-resident: built by the slot's first job and reset in place by
+    // every later StartJob, so placing a job allocates nothing.
     std::unique_ptr<NthLibBinding> binding;
     // kIdleJob marks a free slot (mirrored in hot_.job_id).
     JobId id = kIdleJob;
@@ -206,6 +222,7 @@ class ResourceManager {
     // Application::MaxSpeed, fixed at StartJob (request and rigidity do not
     // change while the job runs).
     double max_speed = 0.0;
+    mutable SettledSegment settled;
   };
 
   // Fills and returns the reusable scratch context (no per-call allocation
@@ -252,9 +269,11 @@ class ResourceManager {
   // completion tick only. Grid-aligned; kHorizonNever when the job cannot
   // progress. Requires fast_path_ and ready_at[slot] <= now.
   SimTime MaterialStop(int slot, SimTime now);
-  // Grid tick at which the slot's steady job finishes, from its state at
-  // `now` (the instant it was last advanced to).
-  SimTime CompletionTick(int slot, SimTime now) const;
+  // The slot's steady job's settled segment as of `now` (the instant it was
+  // last advanced to): recomputed only when the segment's anchor moved.
+  const SettledSegment& SettledTicks(int slot, SimTime now) const;
+  // The interned copy of `profile` that resident Applications borrow.
+  const AppProfile* Intern(const AppProfile& profile);
 
   SimTime GridCeil(SimTime t) const;
   // Largest grid instant < t (clamped to advanced_to_).
@@ -296,11 +315,18 @@ class ResourceManager {
   std::vector<int> slot_of_job_;
   std::vector<int> order_;
 
+  // Every SelfAnalyzer appends its reports here directly.
   std::vector<PerfReport> pending_reports_;
   // Reused drain buffer (swapped with pending_reports_ per drain round).
   std::vector<PerfReport> report_batch_;
-  // Integral archive of finished jobs (merged into alloc_integral_us()).
-  std::map<JobId, double> finished_integral_us_;
+  // Integral archive of finished jobs in finish order (merged into
+  // alloc_integral_us()).
+  std::vector<std::pair<JobId, double>> finished_integral_us_;
+  // Profiles the resident Applications borrow, one per distinct profile
+  // started here. Each copy holds its speedup model, so no other model can
+  // reuse that address while this RM lives: the model pointer identifies
+  // the profile's curve for Intern's lookup.
+  std::vector<std::unique_ptr<const AppProfile>> profiles_;
   long long total_reallocations_ = 0;
 
   mutable PolicyContext scratch_ctx_;
@@ -310,6 +336,10 @@ class ResourceManager {
   std::vector<TimeShare> shares_;
   std::vector<int> share_order_;
   std::vector<std::pair<JobId, int>> plan_scratch_;
+  // Machine handoffs of the latest plan or release, and the alloc_decision
+  // plan text; reused buffers.
+  std::vector<CpuHandoff> handoffs_;
+  std::string plan_text_;
 
   JobFinishCallback on_finish_;
   StateChangeCallback on_state_change_;

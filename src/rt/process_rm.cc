@@ -22,7 +22,7 @@ RtApplication::RtApplication(JobId id, std::string name,
       kernel_(std::move(kernel)),
       iterations_(iterations),
       request_(request),
-      tuner_(id, tuner_params),
+      tuner_(id, tuner_params, options.clock),
       team_(request),
       options_(options) {
   PDPA_CHECK(kernel_ != nullptr);
@@ -43,13 +43,12 @@ void RtApplication::Run() {
 void RtApplication::RunExplicit() {
   for (int iter = 0; iter < iterations_; ++iter) {
     const int width = std::clamp(tuner_.WidthFor(allocated_.load()), 1, team_.max_width());
-    const auto start = std::chrono::steady_clock::now();
+    const double start = tuner_.Now();
     kernel_->RunSerialPart();
     for (int loop = 0; loop < options_.loops_per_iteration; ++loop) {
       team_.ParallelRegion(width, [&](int worker, int w) { kernel_->RunChunk(worker, w); });
     }
-    const auto end = std::chrono::steady_clock::now();
-    const double wall_s = std::chrono::duration<double>(end - start).count();
+    const double wall_s = tuner_.Now() - start;
     tuner_.OnIteration(std::max(1e-9, wall_s), width);
     completed_iterations_.fetch_add(1);
   }
@@ -60,7 +59,7 @@ void RtApplication::RunWithDpd() {
   // (loop id = region "address") and learns the outer-loop period with the
   // DPD; only then can it time iterations for the SelfTuner.
   PeriodicityDetector dpd;
-  auto boundary_time = std::chrono::steady_clock::now();
+  double boundary_time = tuner_.Now();
   bool have_boundary = false;
   int boundary_width = 1;
   int width = std::clamp(tuner_.WidthFor(allocated_.load()), 1, team_.max_width());
@@ -71,9 +70,9 @@ void RtApplication::RunWithDpd() {
     for (int loop = 0; loop < options_.loops_per_iteration; ++loop) {
       team_.ParallelRegion(width, [&](int worker, int w) { kernel_->RunChunk(worker, w); });
       if (dpd.OnLoopEvent(loop_id_base + static_cast<std::uint64_t>(loop))) {
-        const auto now = std::chrono::steady_clock::now();
+        const double now = tuner_.Now();
         if (have_boundary) {
-          const double wall_s = std::chrono::duration<double>(now - boundary_time).count();
+          const double wall_s = now - boundary_time;
           // Attribute the period to the width in effect during it; skip
           // periods spanning a resize (the simulator marks those "tainted";
           // here the width only changes at boundaries, so compare).

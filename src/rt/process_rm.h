@@ -34,6 +34,9 @@ class RtApplication {
     // paper's dynamic-interposition path does. Measurements start once the
     // detector locks onto the period.
     bool detect_iterations_with_dpd = false;
+    // The tuner's clock (see SelfTuner); empty times iterations on the
+    // host's monotonic clock.
+    SelfTuner::Clock clock;
   };
 
   RtApplication(JobId id, std::string name, std::unique_ptr<IterativeKernel> kernel,

@@ -1,14 +1,24 @@
 #include "src/rt/self_tuner.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/prof.h"
 
 namespace pdpa {
 
-SelfTuner::SelfTuner(JobId job, Params params) : job_(job), params_(params) {
+SelfTuner::SelfTuner(JobId job, Params params, Clock clock)
+    : job_(job), params_(params), clock_(std::move(clock)) {
   PDPA_CHECK_GE(params.baseline_iterations, 1);
   PDPA_CHECK_GE(params.baseline_width, 1);
+}
+
+double SelfTuner::Now() const {
+  if (clock_) {
+    return clock_();
+  }
+  return static_cast<double>(prof::NowNanos()) * 1e-9;
 }
 
 int SelfTuner::WidthFor(int allocated) const {

@@ -1,13 +1,14 @@
 // SelfTuner: the wall-clock SelfAnalyzer for the live runtime.
 //
 // Same algorithm as src/runtime/self_analyzer, but measuring real iteration
-// times with std::chrono on a running process: baseline iterations with few
-// workers, then time-with-P, Amdahl-factor normalization, and a PerfReport
-// published for the in-process resource manager.
+// times on a running process: baseline iterations with few workers, then
+// time-with-P, Amdahl-factor normalization, and a PerfReport published for
+// the in-process resource manager. Iterations are timed on the tuner's clock
+// (Now()): the host's monotonic clock, or an injected one.
 #ifndef SRC_RT_SELF_TUNER_H_
 #define SRC_RT_SELF_TUNER_H_
 
-#include <chrono>
+#include <functional>
 #include <mutex>
 #include <optional>
 
@@ -17,13 +18,22 @@ namespace pdpa {
 
 class SelfTuner {
  public:
+  // Monotonic time in seconds.
+  using Clock = std::function<double()>;
+
   struct Params {
     int baseline_iterations = 2;
     int baseline_width = 1;
     double amdahl_factor = 0.95;
   };
 
-  SelfTuner(JobId job, Params params);
+  // `clock` times the iterations; empty reads the host's monotonic clock. A
+  // test injects a deterministic one. Called from the application's thread.
+  SelfTuner(JobId job, Params params, Clock clock = {});
+
+  // The current time on this tuner's clock; an iteration's wall time is the
+  // difference of two readings.
+  double Now() const;
 
   // Width the application should use for the next iteration: the baseline
   // width until the baseline is measured, then `allocated`.
@@ -41,6 +51,7 @@ class SelfTuner {
  private:
   JobId job_;
   Params params_;
+  Clock clock_;
 
   mutable std::mutex mutex_;
   bool baseline_done_ = false;

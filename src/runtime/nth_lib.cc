@@ -11,13 +11,12 @@ NthLibBinding::NthLibBinding(std::unique_ptr<Application> app, SelfAnalyzerParam
     : app_(std::move(app)) {
   PDPA_CHECK(app_ != nullptr);
   analyzer_ = std::make_unique<SelfAnalyzer>(app_.get(), analyzer_params, rng, counters);
-  app_->set_iteration_callback([this](const IterationRecord& record) {
-    analyzer_->OnIteration(record, record.end_time);
-  });
+  app_->set_observer(analyzer_.get());
 }
 
-void NthLibBinding::set_report_callback(SelfAnalyzer::ReportCallback callback) {
-  analyzer_->set_report_callback(std::move(callback));
+void NthLibBinding::Reset(JobId id, const AppProfile* profile, Rng rng) {
+  app_->Reset(id, profile);
+  analyzer_->Reset(rng);
 }
 
 void NthLibBinding::StartJob(SimTime now) {

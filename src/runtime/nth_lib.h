@@ -6,11 +6,12 @@
 // regions) and hosts the SelfAnalyzer. In the simulator the Application
 // models the execution; this binding reproduces the *coordination* contract:
 //   RM -> runtime : SetProcessors(n)
-//   runtime -> RM : performance reports (via callback)
+//   runtime -> RM : performance reports (appended to the RM's buffer)
 #ifndef SRC_RUNTIME_NTH_LIB_H_
 #define SRC_RUNTIME_NTH_LIB_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/app/application.h"
 #include "src/common/rng.h"
@@ -33,9 +34,13 @@ class NthLibBinding {
   SelfAnalyzer& analyzer() { return *analyzer_; }
   const SelfAnalyzer& analyzer() const { return *analyzer_; }
 
-  // Forwarded to the scheduler whenever the SelfAnalyzer produces a new
-  // measurement.
-  void set_report_callback(SelfAnalyzer::ReportCallback callback);
+  // Where the SelfAnalyzer appends its measurements for the scheduler.
+  void set_report_sink(std::vector<PerfReport>* sink) { analyzer_->set_report_sink(sink); }
+
+  // Re-initializes the binding in place for job `id` borrowing `*profile`
+  // (see Application::Reset and SelfAnalyzer::Reset): equal to a fresh
+  // binding over a fresh resident Application with the same arguments.
+  void Reset(JobId id, const AppProfile* profile, Rng rng);
 
   // RM-side entry points.
   void StartJob(SimTime now);

@@ -23,7 +23,19 @@ SelfAnalyzer::SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng,
   PDPA_CHECK_GE(params.measure_iterations, 1);
   PDPA_CHECK_GT(params.amdahl_factor, 0.0);
   PDPA_CHECK_LE(params.amdahl_factor, 1.0);
-  baseline_procs_ = std::max(1, app->profile().baseline_procs);
+  Reset(rng);
+}
+
+void SelfAnalyzer::Reset(Rng rng) {
+  rng_ = rng;
+  baseline_procs_ = std::max(1, app_->profile().baseline_procs);
+  baseline_done_ = false;
+  baseline_samples_ = 0;
+  baseline_sum_s_ = 0.0;
+  baseline_time_s_ = 0.0;
+  measure_samples_ = 0;
+  measure_sum_s_ = 0.0;
+  measure_procs_ = 0;
 }
 
 void SelfAnalyzer::OnJobStart(SimTime now) {
@@ -48,25 +60,35 @@ double NormalizedSpeedup(double baseline_s, double time_with_p, int baseline_pro
   return std::max(0.05, versus_baseline * baseline_speedup);
 }
 
-void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
-  if (!baseline_done_) {
-    // Baseline phase: only clean iterations at the baseline count qualify.
-    if (record.clean && record.procs == std::min(baseline_procs_, app_->allocated())) {
-      baseline_sum_s_ += NoisySeconds(record.wall_time);
-      ++baseline_samples_;
-      if (baseline_samples_ >= params_.baseline_iterations) {
-        baseline_time_s_ = baseline_sum_s_ / baseline_samples_;
-        // The baseline may have run on fewer processors than requested if
-        // the allocation was tiny; normalize with the count actually used.
-        baseline_procs_ = record.procs;
-        baseline_done_ = true;
-        counters_.baselines_done->Increment();
-        app_->ForceProcs(0, now);  // Release to the full allocation.
-      }
-    }
+void SelfAnalyzer::OnIteration(const IterationRecord& record) {
+  if (baseline_done_) {
+    Measure(record);
     return;
   }
+  // Baseline phase: only clean iterations at the baseline count qualify.
+  if (record.clean && record.procs == std::min(baseline_procs_, app_->allocated())) {
+    baseline_sum_s_ += NoisySeconds(record.wall_time);
+    ++baseline_samples_;
+    if (baseline_samples_ >= params_.baseline_iterations) {
+      baseline_time_s_ = baseline_sum_s_ / baseline_samples_;
+      // The baseline may have run on fewer processors than requested if
+      // the allocation was tiny; normalize with the count actually used.
+      baseline_procs_ = record.procs;
+      baseline_done_ = true;
+      counters_.baselines_done->Increment();
+      app_->ForceProcs(0, record.end_time);  // Release to the full allocation.
+    }
+  }
+}
 
+void SelfAnalyzer::OnIterationRun(const IterationRun& run) {
+  PDPA_CHECK(baseline_done_);
+  for (int k = 0; k < run.count; ++k) {
+    Measure(run.Record(k));
+  }
+}
+
+void SelfAnalyzer::Measure(const IterationRecord& record) {
   if (!record.clean) {
     // A reallocation happened mid-iteration; discard and restart the window.
     counters_.dirty_iterations->Increment();
@@ -98,10 +120,10 @@ void SelfAnalyzer::OnIteration(const IterationRecord& record, SimTime now) {
   report.speedup =
       NormalizedSpeedup(baseline_time_s_, time_with_p, baseline_procs_, params_.amdahl_factor);
   report.efficiency = report.speedup / std::max(1, record.procs);
-  report.when = now;
+  report.when = record.end_time;
   counters_.reports->Increment();
-  if (on_report_) {
-    on_report_(report);
+  if (report_sink_ != nullptr) {
+    report_sink_->push_back(report);
   }
 }
 

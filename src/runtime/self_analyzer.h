@@ -10,7 +10,7 @@
 #ifndef SRC_RUNTIME_SELF_ANALYZER_H_
 #define SRC_RUNTIME_SELF_ANALYZER_H_
 
-#include <functional>
+#include <vector>
 
 #include "src/app/application.h"
 #include "src/common/ids.h"
@@ -67,35 +67,53 @@ struct AnalyzerCounters {
   static AnalyzerCounters Bind(Registry& registry);
 };
 
-class SelfAnalyzer {
+// Observes one application's iterations (attach it with
+// Application::set_observer). Until its baseline is measured it may change
+// the application (the baseline processor override), so it takes iterations
+// one at a time; once settled it only measures, and takes a span's
+// iterations as one run. Either way it draws its noise once per iteration,
+// in order, so both deliveries produce the same reports, counters and
+// random stream.
+class SelfAnalyzer final : public IterationObserver {
  public:
-  using ReportCallback = std::function<void(const PerfReport&)>;
-
   // `app` must outlive the analyzer, and `counters` the run's registry.
   SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng,
                AnalyzerCounters counters = AnalyzerCounters::Bind(Registry::Default()));
 
-  void set_report_callback(ReportCallback callback) { on_report_ = std::move(callback); }
+  // Re-initializes the analyzer in place for the job its application now
+  // holds (after Application::Reset), with a fresh random stream: equal to
+  // constructing it anew. Params, counters and report sink are kept.
+  void Reset(Rng rng);
+
+  // Reports are appended to `*sink` (borrowed; null drops them).
+  void set_report_sink(std::vector<PerfReport>* sink) { report_sink_ = sink; }
 
   // Must be called immediately before Application::Start: engages the
   // baseline processor override.
   void OnJobStart(SimTime now);
 
-  // Feed of completed iterations from the application.
-  void OnIteration(const IterationRecord& record, SimTime now);
+  // IterationObserver: the application's completed iterations.
+  void OnIteration(const IterationRecord& record) override;
+  bool batches_runs() const override { return baseline_done_; }
+  void OnIterationRun(const IterationRun& run) override;
 
   bool baseline_done() const { return baseline_done_; }
   // Measured per-iteration time with baseline processors (seconds).
   double baseline_time_s() const { return baseline_time_s_; }
   int baseline_procs() const { return baseline_procs_; }
+  // The noise stream, as far as it has been drawn.
+  const Rng& rng() const { return rng_; }
 
  private:
-  double NoisySeconds(SimDuration wall) ;
+  double NoisySeconds(SimDuration wall);
+  // One iteration after the baseline: measure, and report when the window
+  // is full. Never touches the application.
+  void Measure(const IterationRecord& record);
 
   Application* app_;
   SelfAnalyzerParams params_;
   Rng rng_;
-  ReportCallback on_report_;
+  std::vector<PerfReport>* report_sink_ = nullptr;
 
   int baseline_procs_ = 1;
   bool baseline_done_ = false;

@@ -156,6 +156,12 @@ AppCosts NoCosts() {
   return costs;
 }
 
+// Collects every iteration, one record at a time.
+struct RecordingObserver final : IterationObserver {
+  void OnIteration(const IterationRecord& record) override { records.push_back(record); }
+  std::vector<IterationRecord> records;
+};
+
 TEST(ApplicationTest, RunsToCompletionAtExpectedTime) {
   Application app(1, TestProfile(), NoCosts());
   app.SetAllocation(2, 0);
@@ -175,8 +181,9 @@ TEST(ApplicationTest, IterationBoundariesAtExactSubTickInstants) {
   Application app(1, TestProfile(), NoCosts());
   app.SetAllocation(1, 0);
   app.Start(0);
-  std::vector<IterationRecord> records;
-  app.set_iteration_callback([&](const IterationRecord& r) { records.push_back(r); });
+  RecordingObserver observer;
+  app.set_observer(&observer);
+  const std::vector<IterationRecord>& records = observer.records;
   // Advance with a tick that does not divide the 1 s iteration time.
   SimTime now = 0;
   while (!app.finished()) {
@@ -196,10 +203,10 @@ TEST(ApplicationTest, MultipleIterationsInOneTick) {
   Application app(1, TestProfile(), NoCosts());
   app.SetAllocation(32, 0);  // speedup 32: iteration takes 31.25 ms
   app.Start(0);
-  int iterations = 0;
-  app.set_iteration_callback([&](const IterationRecord&) { ++iterations; });
+  RecordingObserver observer;
+  app.set_observer(&observer);
   app.Advance(0, 100 * kMillisecond);  // should complete 3 iterations
-  EXPECT_EQ(iterations, 3);
+  EXPECT_EQ(observer.records.size(), 3u);
 }
 
 TEST(ApplicationTest, ReconfigFreezeDelaysProgress) {
@@ -229,8 +236,9 @@ TEST(ApplicationTest, TaintedIterationMarkedUnclean) {
   Application app(1, TestProfile(), NoCosts());
   app.SetAllocation(1, 0);
   app.Start(0);
-  std::vector<IterationRecord> records;
-  app.set_iteration_callback([&](const IterationRecord& r) { records.push_back(r); });
+  RecordingObserver observer;
+  app.set_observer(&observer);
+  const std::vector<IterationRecord>& records = observer.records;
   app.Advance(0, 500 * kMillisecond);        // mid-iteration
   app.SetAllocation(2, 500 * kMillisecond);  // reallocation taints it
   app.Advance(500 * kMillisecond, kSecond);

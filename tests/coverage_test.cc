@@ -142,10 +142,9 @@ TEST(SelfAnalyzerCoverageTest, MeasureWindowAveragesIterations) {
   params.baseline_iterations = 1;
   params.measure_iterations = 3;  // window of 3
   SelfAnalyzer analyzer(&app, params, Rng(1));
-  int reports = 0;
-  analyzer.set_report_callback([&](const PerfReport&) { ++reports; });
-  app.set_iteration_callback(
-      [&](const IterationRecord& r) { analyzer.OnIteration(r, r.end_time); });
+  std::vector<PerfReport> reports;
+  analyzer.set_report_sink(&reports);
+  app.set_observer(&analyzer);
   app.SetAllocation(8, 0);
   analyzer.OnJobStart(0);
   app.Start(0);
@@ -155,8 +154,8 @@ TEST(SelfAnalyzerCoverageTest, MeasureWindowAveragesIterations) {
   // Iterations completed at 8 procs: baseline 1 at 1 proc (1 s), then
   // ~16 iterations at 8 procs in the ~2 s left -> about 5 reports, far
   // fewer than iterations.
-  EXPECT_GT(reports, 2);
-  EXPECT_LT(reports, 8);
+  EXPECT_GT(reports.size(), 2u);
+  EXPECT_LT(reports.size(), 8u);
 }
 
 // --- ASCII view options ------------------------------------------------------

@@ -150,10 +150,53 @@ TEST(MachineTest, JobAbsentFromTargetIsReleased) {
 TEST(MachineTest, ReleaseJobFreesEverything) {
   Machine machine(6);
   machine.ApplyAllocation({{7, 4}});
-  const auto handoffs = machine.ReleaseJob(7);
+  std::vector<CpuHandoff> handoffs;
+  machine.ReleaseJob(7, &handoffs);
   EXPECT_EQ(handoffs.size(), 4u);
   EXPECT_EQ(machine.FreeCpus(), 6);
-  EXPECT_TRUE(machine.ReleaseJob(7).empty());
+  machine.ReleaseJob(7, &handoffs);
+  EXPECT_TRUE(handoffs.empty());
+}
+
+TEST(MachineTest, ApplyPartialOverwritesTheHandoffBuffer) {
+  Machine machine(6);
+  std::vector<CpuHandoff> handoffs;
+  machine.ApplyPartial({{1, 4}}, &handoffs);
+  EXPECT_EQ(handoffs.size(), 4u);
+  // Job 1 shrinks to 2 and job 2 takes its two CPUs plus the two idle ones;
+  // job 1's released CPUs move directly.
+  machine.ApplyPartial({{1, 2}, {2, 4}}, &handoffs);
+  ASSERT_EQ(handoffs.size(), 4u);
+  EXPECT_EQ(machine.CountOf(1), 2);
+  EXPECT_EQ(machine.CountOf(2), 4);
+  EXPECT_EQ(machine.FreeCpus(), 0);
+  int direct = 0;
+  for (const CpuHandoff& h : handoffs) {
+    direct += h.from == 1 && h.to == 2;
+  }
+  EXPECT_EQ(direct, 2);
+}
+
+TEST(MachineTest, FreeCountTracksEveryOwnershipChange) {
+  Machine machine(8);
+  std::vector<CpuHandoff> handoffs;
+  machine.ApplyAllocation({{1, 3}, {2, 2}});
+  EXPECT_EQ(machine.FreeCpus(), 3);
+  machine.SetOwner(7, 3);
+  machine.SetOwner(7, 4);  // owned to owned: no change in the count
+  EXPECT_EQ(machine.FreeCpus(), 2);
+  machine.SetOwner(0, kIdleJob);
+  EXPECT_EQ(machine.FreeCpus(), 3);
+  machine.ApplyPartial({{2, 4}}, &handoffs);
+  EXPECT_EQ(machine.FreeCpus(), 1);
+  machine.ReleaseJob(2, &handoffs);
+  EXPECT_EQ(machine.FreeCpus(), 5);
+  machine.AuditInvariants();
+  int scanned = 0;
+  for (int cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+    scanned += machine.OwnerOf(cpu) == kIdleJob;
+  }
+  EXPECT_EQ(machine.FreeCpus(), scanned);
 }
 
 TEST(MachineTest, RunningJobsListsOwners) {

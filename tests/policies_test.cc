@@ -20,6 +20,98 @@
 namespace pdpa {
 namespace {
 
+// --- AllocationPlan ----------------------------------------------------------
+
+std::vector<std::pair<JobId, int>> Entries(const AllocationPlan& plan) {
+  return std::vector<std::pair<JobId, int>>(plan.begin(), plan.end());
+}
+
+TEST(AllocationPlanTest, IteratesInAscendingJobIdWhateverTheInsertionOrder) {
+  AllocationPlan plan;
+  for (const JobId job : {5, 1, 9, 3, 7}) {
+    plan[job] = 10 * job;
+  }
+  EXPECT_EQ(plan.size(), 5u);
+  EXPECT_EQ(Entries(plan),
+            (std::vector<std::pair<JobId, int>>{{1, 10}, {3, 30}, {5, 50}, {7, 70}, {9, 90}}));
+}
+
+TEST(AllocationPlanTest, SubscriptInsertsZeroAndUpdatesInPlace) {
+  AllocationPlan plan;
+  EXPECT_TRUE(plan.empty());
+  EXPECT_EQ(plan[4], 0);  // inserted
+  ++plan[4];
+  ++plan[4];
+  plan[2] = 7;
+  EXPECT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan.at(4), 2);
+  EXPECT_EQ(plan.at(2), 7);
+  EXPECT_TRUE(plan.contains(2));
+  EXPECT_FALSE(plan.contains(3));
+  EXPECT_EQ(plan.find(3), plan.end());
+}
+
+TEST(AllocationPlanTest, EmplaceKeepsTheExistingValue) {
+  AllocationPlan plan;
+  const auto [first, inserted] = plan.emplace(3, 5);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(first->second, 5);
+  const auto [again, inserted_again] = plan.emplace(3, 9);
+  EXPECT_FALSE(inserted_again);
+  EXPECT_EQ(again->second, 5);
+  EXPECT_EQ(plan.at(3), 5);
+  EXPECT_EQ(plan.size(), 1u);
+}
+
+TEST(AllocationPlanTest, SpillsPastTheInlineCapacityAndStaysSorted) {
+  // Matches a JobId-keyed std::map entry for entry while it grows well past
+  // the inline capacity, in a scrambled insertion order.
+  AllocationPlan plan;
+  std::map<JobId, int> reference;
+  Rng rng(11);
+  const int n = 5 * static_cast<int>(AllocationPlan::kInlineJobs);
+  for (int k = 0; k < 4 * n; ++k) {
+    const JobId job = rng.UniformInt(0, n);
+    const int count = rng.UniformInt(0, 60);
+    if (rng.UniformInt(0, 1) == 0) {
+      plan[job] = count;
+      reference[job] = count;
+    } else {
+      plan.emplace(job, count);
+      reference.emplace(job, count);
+    }
+    ASSERT_EQ(Entries(plan),
+              (std::vector<std::pair<JobId, int>>(reference.begin(), reference.end())));
+  }
+  EXPECT_GT(plan.size(), AllocationPlan::kInlineJobs);
+}
+
+TEST(AllocationPlanTest, EqualityComparesEntries) {
+  AllocationPlan a;
+  a[2] = 4;
+  a[1] = 3;
+  AllocationPlan b;
+  b[1] = 3;
+  b[2] = 4;
+  EXPECT_EQ(a, b);
+  b[2] = 5;
+  EXPECT_FALSE(a == b);
+  b[2] = 4;
+  b[0] = 0;
+  EXPECT_FALSE(a == b);
+  EXPECT_EQ(AllocationPlan{}, AllocationPlan{});
+  // A spilled plan equals an inline one with the same entries.
+  AllocationPlan big;
+  const int n = static_cast<int>(AllocationPlan::kInlineJobs) + 1;
+  for (int job = 0; job < n; ++job) {
+    big[job] = job;
+  }
+  AllocationPlan copy = big;
+  EXPECT_EQ(copy, big);
+  copy[n] = 0;
+  EXPECT_FALSE(copy == big);
+}
+
 PolicyContext MakeContext(std::vector<std::pair<JobId, int>> jobs_requests, int total_cpus = 60,
                           int free_cpus = 0) {
   PolicyContext ctx;

@@ -47,7 +47,7 @@ TEST_P(AnalyzerAccuracyTest, MeasuredSpeedupTracksTrueCurve) {
   analyzer_params.amdahl_factor = 1.0;  // exact normalization for this check
   NthLibBinding binding(std::move(app), analyzer_params, Rng(1));
   std::vector<PerfReport> reports;
-  binding.set_report_callback([&](const PerfReport& r) { reports.push_back(r); });
+  binding.set_report_sink(&reports);
   binding.SetProcessors(param.procs, 0);
   binding.StartJob(0);
   for (SimTime t = 0; t < 120 * kSecond && reports.empty(); t += 20 * kMillisecond) {
@@ -162,7 +162,7 @@ class ChaosPolicy : public SchedulingPolicy {
 
   AllocationPlan OnJobStart(const PolicyContext& ctx, JobId job) override {
     AllocationPlan plan = RandomPlan(ctx);
-    plan[job] = std::max(1, plan.count(job) ? plan[job] : 1);
+    plan[job] = std::max(1, plan.contains(job) ? plan[job] : 1);
     return plan;
   }
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -425,6 +426,93 @@ TEST(ResourceManagerTest, NextVisibleBoundNeverPassesTheNextVisibleInstant) {
 // The RM resolves the analyzer counters once, for every job it starts; a
 // run that never starts a job must not list them (its counter dump is part
 // of the recorded output).
+// Slot residency: a job placed in a slot whose binding, application and
+// analyzer were reset in place (and whose settled-segment cache still holds
+// the previous tenant's ticks) runs exactly as it does in a resource manager
+// that builds everything fresh for it.
+TEST(ResourceManagerTest, ReusedSlotMatchesFreshConstruction) {
+  constexpr std::uint64_t kSeed = 77;
+  constexpr int kJobs = 24;
+  Rng rng(kSeed);
+  const int cpus = 8;
+  std::vector<AppProfile> profiles;
+  for (int k = 0; k < 3; ++k) {
+    profiles.push_back(RandomProfile(rng, cpus, k == 1));
+  }
+  struct Job {
+    const AppProfile* profile;
+    int request;
+    bool rigid;
+  };
+  std::vector<Job> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    jobs.push_back(Job{&profiles[static_cast<std::size_t>(rng.UniformInt(0, 2))],
+                       rng.UniformInt(1, cpus), rng.UniformInt(0, 4) == 0});
+  }
+  for (const bool batch : {false, true}) {
+    ResourceManager::Params params;
+    params.num_cpus = cpus;
+    params.boundary_batch = batch;
+    params.app_costs.reconfig_freeze = 30 * kMillisecond;
+    params.app_costs.warmup = 100 * kMillisecond;
+
+    // One job at a time through one resource manager: every job lands in
+    // slot 0.
+    Registry registry;
+    Simulation sim(&registry);
+    ResourceManager rm(params, std::make_unique<Equipartition>(4), &sim, nullptr, Rng(kSeed));
+    std::vector<SimTime> start(kJobs);
+    std::vector<SimTime> finish(kJobs, -1);
+    rm.set_job_finish_callback(
+        [&](JobId job, SimTime t) { finish[static_cast<std::size_t>(job)] = t; });
+    rm.Start();
+    for (int i = 0; i < kJobs; ++i) {
+      const Job& job = jobs[static_cast<std::size_t>(i)];
+      start[static_cast<std::size_t>(i)] = sim.now();
+      rm.StartJob(i, *job.profile, job.request, sim.now(), job.rigid);
+      while (rm.running_jobs() > 0) {
+        ASSERT_FALSE(sim.events().empty());
+        sim.Step();
+      }
+    }
+    const std::map<JobId, double> integrals = rm.alloc_integral_us();
+
+    // Reference: each job alone in a fresh resource manager, started at the
+    // same instant with the random stream the shared one handed that job.
+    long long reports = 0;
+    long long perf_reports = 0;
+    for (int i = 0; i < kJobs; ++i) {
+      const Job& job = jobs[static_cast<std::size_t>(i)];
+      const SimTime at = start[static_cast<std::size_t>(i)];
+      Registry solo_registry;
+      Simulation solo_sim(&solo_registry);
+      solo_sim.AdvanceTo(at);
+      Rng solo_rng(kSeed);
+      for (int k = 0; k < i; ++k) {
+        solo_rng.NextU64();  // the forks of the jobs before this one
+      }
+      ResourceManager solo(params, std::make_unique<Equipartition>(4), &solo_sim, nullptr,
+                           solo_rng);
+      SimTime solo_finish = -1;
+      solo.set_job_finish_callback([&](JobId, SimTime t) { solo_finish = t; });
+      solo.Start();
+      solo.StartJob(i, *job.profile, job.request, at, job.rigid);
+      while (solo.running_jobs() > 0) {
+        ASSERT_FALSE(solo_sim.events().empty());
+        solo_sim.Step();
+      }
+      EXPECT_EQ(solo_finish, finish[static_cast<std::size_t>(i)]) << "batch " << batch << " job " << i;
+      EXPECT_EQ(solo.alloc_integral_us().at(i), integrals.at(i)) << "batch " << batch << " job " << i;
+      reports += solo_sim.registry().counter("analyzer.reports")->value();
+      perf_reports += solo_sim.registry().counter("rm.perf_reports")->value();
+    }
+    EXPECT_EQ(sim.registry().counter("analyzer.reports")->value(), reports) << "batch " << batch;
+    EXPECT_EQ(sim.registry().counter("rm.perf_reports")->value(), perf_reports)
+        << "batch " << batch;
+    EXPECT_GT(reports, 0);
+  }
+}
+
 TEST(ResourceManagerTest, AnalyzerCountersAppearWithTheFirstJob) {
   const auto has_analyzer_counters = [](const Registry& registry) {
     for (const CounterSnapshot& c : registry.Snapshot().counters) {

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <string>
 
 #include "src/rt/kernels.h"
 #include "src/rt/malleable_team.h"
@@ -184,6 +186,30 @@ TEST(InProcessRmTest, CoordinatedAdmissionQueuesBeyondDefaultMl) {
   EXPECT_GE(rm.max_concurrency(), 2);
 }
 
+// Latency kernel that also keeps virtual time for the tuner's clock: after
+// each region, worker 0 advances `clock_us` by the region's modeled
+// duration. Iteration timings are then exact however the host schedules the
+// sleeping workers, while the real sleeps still pace the application against
+// the resource manager's polling loop.
+class VirtualTimeLatencyKernel : public IterativeKernel {
+ public:
+  VirtualTimeLatencyKernel(double work_ms, std::atomic<long long>* clock_us)
+      : latency_(work_ms, 0.0, 1.0), work_ms_(work_ms), clock_us_(clock_us) {}
+
+  std::string name() const override { return "virtual-latency"; }
+  void RunChunk(int worker_index, int width) override {
+    latency_.RunChunk(worker_index, width);
+    if (worker_index == 0) {
+      clock_us_->fetch_add(std::llround(work_ms_ * 1000.0 / width));
+    }
+  }
+
+ private:
+  LatencyKernel latency_;
+  double work_ms_;
+  std::atomic<long long>* clock_us_;
+};
+
 TEST(RtApplicationTest, DpdModeDetectsIterationsAndTunes) {
   // "Binary-only" path: the application never announces iteration
   // boundaries; the runtime discovers them from the parallel-loop stream
@@ -191,8 +217,6 @@ TEST(RtApplicationTest, DpdModeDetectsIterationsAndTunes) {
   InProcessRm::Params params;
   params.cpu_budget = 4;
   params.quantum_ms = 5.0;
-  // Loose efficiency bounds: on a loaded single-core CI box, thread wake-up
-  // latency adds noise to the wall-clock measurements this test rides on.
   params.pdpa.target_eff = 0.3;
   params.pdpa.high_eff = 0.9;
   InProcessRm rm(params);
@@ -200,8 +224,13 @@ TEST(RtApplicationTest, DpdModeDetectsIterationsAndTunes) {
   RtApplication::Options options;
   options.loops_per_iteration = 3;
   options.detect_iterations_with_dpd = true;
+  // The tuner reads the kernel's virtual time, so host load cannot distort
+  // the measured speedups PDPA acts on.
+  std::atomic<long long> clock_us{0};
+  options.clock = [&clock_us] { return static_cast<double>(clock_us.load()) * 1e-6; };
   auto app = std::make_unique<RtApplication>(
-      0, "binary-only", std::make_unique<LatencyKernel>(24.0, 0.0, 1.0), /*iterations=*/20,
+      0, "binary-only", std::make_unique<VirtualTimeLatencyKernel>(24.0, &clock_us),
+      /*iterations=*/20,
       /*request=*/4,
       SelfTuner::Params{.baseline_iterations = 1, .baseline_width = 1, .amdahl_factor = 1.0},
       options);
@@ -217,6 +246,18 @@ TEST(RtApplicationTest, DpdModeDetectsIterationsAndTunes) {
   EXPECT_TRUE(raw->tuner().baseline_done());
   // And PDPA acted on them: a perfectly scalable app should have grown.
   EXPECT_GE(rm.AutomatonFor(0)->current_alloc(), 2);
+}
+
+TEST(SelfTunerTest, InjectedClockTimesIterations) {
+  double now_s = 5.0;
+  SelfTuner tuner(3, SelfTuner::Params{}, [&now_s] { return now_s; });
+  EXPECT_EQ(tuner.Now(), 5.0);
+  now_s = 6.5;
+  EXPECT_EQ(tuner.Now(), 6.5);
+  // Without an injected clock the host clock moves forward.
+  SelfTuner host(4, SelfTuner::Params{});
+  const double before = host.Now();
+  EXPECT_GE(host.Now(), before);
 }
 
 TEST(InProcessRmTest, SingleAppRunsToCompletion) {
