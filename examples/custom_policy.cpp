@@ -52,7 +52,7 @@ ExperimentResult RunWith(std::unique_ptr<SchedulingPolicy> policy,
   Simulation sim;
   ResourceManager::Params rm_params;
   rm_params.num_cpus = 60;
-  ResourceManager rm(rm_params, std::move(policy), &sim, nullptr, Rng(1));
+  ResourceManager rm(rm_params, std::move(policy), &sim, Rng(1));
   QueuingSystem qs(&sim, &rm, jobs);
   rm.Start();
   qs.Start();

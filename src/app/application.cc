@@ -261,14 +261,12 @@ bool Application::ElisionReady(SimTime now) const {
   return true;
 }
 
-SimTime Application::NextBoundaryTime(SimTime now) const { return BoundaryTimeAhead(1, now); }
-
-SimTime Application::BoundaryTimeAhead(int iterations_ahead, SimTime now) const {
+SimTime Application::NextBoundaryTime(SimTime now) const {
   const SegmentAnchor anchor = SteadyAnchor(now);
   if (anchor.speed <= 0.0) {
     return kHorizonNever;
   }
-  return BoundaryAt(anchor, completed_iterations_ + iterations_ahead);
+  return BoundaryAt(anchor, completed_iterations_ + 1);
 }
 
 SegmentAnchor Application::SteadyAnchor(SimTime now) const {

@@ -203,17 +203,11 @@ class Application {
   bool ElisionReady(SimTime now) const;
 
   // Predicted instant of the next iteration boundary assuming steady-state
-  // speed from `now` on, using exactly the arithmetic Advance will use (so a
-  // coarse span that crosses it reproduces the fine-tick instant bit for
-  // bit). kHorizonNever when the application cannot progress. Requires
-  // ElisionReady(now).
+  // speed from `now` on, using exactly the anchor selection and arithmetic
+  // Integrate will use (so a coarse span that crosses it reproduces the
+  // fine-tick instant bit for bit). kHorizonNever when the application
+  // cannot progress. Requires ElisionReady(now).
   SimTime NextBoundaryTime(SimTime now) const;
-
-  // Generalization of NextBoundaryTime: predicted instant of the boundary
-  // `iterations_ahead` iterations from now on the same steady segment (1 ==
-  // NextBoundaryTime). Same anchor selection and arithmetic as Integrate, so
-  // every predicted instant is bit-exact. Requires ElisionReady(now).
-  SimTime BoundaryTimeAhead(int iterations_ahead, SimTime now) const;
 
   // The anchor Integrate will continue from `now` at steady speed: the live
   // segment when it abuts `now` at that speed, else (now, progress). Speed 0

@@ -107,7 +107,7 @@ SimTime FromHorizon(SimTime t) { return t >= kHorizonNever ? kNever : t; }
 bool Due(SimTime t, SimTime barrier) { return t != kNever && t <= barrier; }
 
 // Node indices as a bitset: membership changes allocate nothing, and scans
-// run by word with countr_zero (as in CpuSet), in ascending index order.
+// run by word with countr_zero, in ascending index order.
 class NodeSet {
  public:
   NodeSet() = default;
@@ -156,14 +156,26 @@ class NodeSet {
 // mutex, which provides the happens-before edge; audit builds also verify
 // log-sink confinement via the Handoff protocol.
 struct Node {
-  int index = 0;
-  Registry registry;
-  Simulation sim{&registry};
-  std::unique_ptr<ResourceManager> rm;
+  // `profiler` is shared with the controller, so it must be null unless the
+  // node runs on the controller's thread (Profiler is single-writer).
+  Node(int k, const ClusterOptions& options, Profiler* profiler)
+      : index(k),
+        event_log(options.capture_events ? std::make_unique<EventLog>(&events_sink) : nullptr),
+        timeseries(options.capture_timeseries ? std::make_unique<TimeSeriesSampler>() : nullptr),
+        sim(Simulation::Sinks{.event_log = event_log.get(),
+                              .timeseries = timeseries.get(),
+                              .profiler = profiler}) {
+    if (event_log != nullptr) {
+      event_log->set_node_tag(k);
+    }
+  }
 
+  int index;
   std::ostringstream events_sink;
   std::unique_ptr<EventLog> event_log;            // null unless capturing
   std::unique_ptr<TimeSeriesSampler> timeseries;  // null unless capturing
+  Simulation sim;
+  std::unique_ptr<ResourceManager> rm;
 
   // Completions since the controller last drained this node, in callback
   // order, as *local* job ids (dense per node, so the RM's JobId-indexed
@@ -336,31 +348,13 @@ class ClusterEngine {
     rm_params.num_cpus = options.cpus_per_node;
     nodes_.reserve(static_cast<std::size_t>(options.num_nodes));
     for (int k = 0; k < options.num_nodes; ++k) {
-      auto node = std::make_unique<Node>();
+      // Serial inline loop: node code runs on the one thread, so the
+      // sim/rm/obs spans can share the controller's profiler. With worker
+      // threads they must stay dark.
+      auto node = std::make_unique<Node>(k, options, threaded_ ? nullptr : profiler_);
       Node* raw = node.get();
-      raw->index = k;
       raw->rm = std::make_unique<ResourceManager>(rm_params, options.make_policy(), &raw->sim,
-                                                  /*trace=*/nullptr, rng.Fork());
-      if (options.capture_events) {
-        raw->event_log = std::make_unique<EventLog>(&raw->events_sink);
-        raw->event_log->set_node_tag(k);
-        raw->rm->set_event_log(raw->event_log.get());
-        raw->rm->policy().set_event_log(raw->event_log.get());
-      }
-      if (options.capture_timeseries) {
-        raw->timeseries = std::make_unique<TimeSeriesSampler>();
-        raw->rm->set_timeseries(raw->timeseries.get());
-      }
-      if (profiler_ != nullptr && !threaded_) {
-        // Serial inline loop: node code runs on the one thread, so the
-        // sim/rm/obs spans can share the controller's profiler. With worker
-        // threads they must stay dark (Profiler is single-writer).
-        raw->rm->set_profiler(profiler_);
-        raw->sim.events().set_profiler(profiler_);
-        if (raw->event_log != nullptr) {
-          raw->event_log->set_profiler(profiler_);
-        }
-      }
+                                                  rng.Fork());
       raw->rm->set_job_finish_callback(
           [raw](JobId local, SimTime) { raw->finished_local.push_back(local); });
       raw->rm->set_state_change_callback([raw](SimTime) {
@@ -1188,7 +1182,7 @@ class ClusterEngine {
     parts.reserve(nodes_.size() + 1);
     parts.push_back(controller_registry_.Snapshot());
     for (auto& node_ptr : nodes_) {
-      parts.push_back(node_ptr->registry.Snapshot());
+      parts.push_back(node_ptr->sim.registry().Snapshot());
     }
     std::vector<const RegistrySnapshot*> part_ptrs;
     part_ptrs.reserve(parts.size());

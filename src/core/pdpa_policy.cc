@@ -8,9 +8,7 @@
 namespace pdpa {
 
 PdpaPolicy::PdpaPolicy(PdpaParams params, PdpaMlParams ml_params)
-    : params_(params), ml_params_(ml_params) {
-  BindInstruments(Registry::Default());
-}
+    : params_(params), ml_params_(ml_params) {}
 
 void PdpaPolicy::BindInstruments(Registry& registry) {
   to_no_ref_ = registry.counter("pdpa.transitions.to_no_ref");

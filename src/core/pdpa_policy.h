@@ -43,7 +43,7 @@ class PdpaPolicy : public SchedulingPolicy {
   PdpaMlParams ml_params_;
   std::map<JobId, std::unique_ptr<PdpaAutomaton>> automatons_;
 
-  // Instruments, re-bound per run via set_registry.
+  // Instruments, bound per run by Attach.
   Counter* to_no_ref_ = nullptr;
   Counter* to_inc_ = nullptr;
   Counter* to_dec_ = nullptr;

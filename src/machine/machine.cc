@@ -17,16 +17,6 @@ void Machine::AuditInvariants() const {
   PDPA_CHECK_EQ(free_cpus_, static_cast<int>(scanned)) << "free-CPU count out of step";
 }
 
-CpuSet Machine::CpusOf(JobId job) const {
-  CpuSet set;
-  for (int cpu = 0; cpu < num_cpus_; ++cpu) {
-    if (owner_[static_cast<std::size_t>(cpu)] == job) {
-      set.Add(cpu);
-    }
-  }
-  return set;
-}
-
 int Machine::CountOf(JobId job) const {
   int count = 0;
   for (JobId owner : owner_) {

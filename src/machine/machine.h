@@ -13,9 +13,11 @@
 
 #include "src/common/ids.h"
 #include "src/common/logging.h"
-#include "src/machine/cpuset.h"
 
 namespace pdpa {
+
+// Upper bound on machine size; the paper's Origin 2000 has 64 CPUs.
+inline constexpr int kMaxCpus = 128;
 
 // One concrete reassignment performed by ApplyAllocation: CPU `cpu` moved
 // from job `from` to job `to` (either may be kIdleJob).
@@ -40,7 +42,6 @@ class Machine {
     PDPA_CHECK_LT(cpu, num_cpus_);
     return owner_[static_cast<std::size_t>(cpu)];
   }
-  CpuSet CpusOf(JobId job) const;
   int CountOf(JobId job) const;
 
   // All jobs that currently own at least one CPU.

@@ -119,11 +119,6 @@ void Registry::Restore(const RegistrySnapshot& snapshot) {
   }
 }
 
-Registry& Registry::Default() {
-  static Registry* registry = new Registry();
-  return *registry;
-}
-
 RegistrySnapshot MergeRegistrySnapshots(const std::vector<const RegistrySnapshot*>& parts) {
   RegistrySnapshot merged;
   std::map<std::string, long long> counters;

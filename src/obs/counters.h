@@ -8,14 +8,13 @@
 // --counters CLI flag a deterministic, name-sorted view of everything the
 // stack recorded.
 //
-// Registries are per-run: ExperimentConfig carries a Registry* and every
-// layer of the stack (sim, RM, QS, policies, SelfAnalyzer) resolves its
-// instruments from it at construction, so the sweep engine can run N
-// simulations concurrently with fully isolated counters. Registration and
+// Registries are per-run: each Simulation owns one, and every layer of its
+// stack (sim, RM, QS, policies, SelfAnalyzer) resolves its instruments from
+// it, so the sweep engine can run N simulations concurrently with fully
+// isolated counters. There is no process-wide registry. Registration and
 // Snapshot are mutex-guarded (cheap, off the hot path); instrument *values*
 // are unsynchronized and must only be touched by the run that owns the
-// registry. Registry::Default() remains as the fallback for standalone
-// components (unit tests, ad-hoc benches) that never get a per-run registry.
+// registry.
 //
 // Naming convention: lowercase dotted paths grouped by layer, e.g.
 // "rm.reallocations", "pdpa.transitions.to_stable", "analyzer.reports".
@@ -155,10 +154,6 @@ class Registry {
   // dump matches a cold run byte for byte). Instruments registered here but
   // absent from the snapshot are reset to zero.
   void Restore(const RegistrySnapshot& snapshot) PDPA_EXCLUDES(mutex_);
-
-  // Process-wide fallback registry for components constructed without a
-  // per-run one. Concurrent runs must each use their own Registry instead.
-  static Registry& Default();
 
  private:
   // Compile-time lock-discipline probe (tests/tsa_probe); never defined in

@@ -24,6 +24,7 @@ QueuingSystem::QueuingSystem(Simulation* sim, ResourceManager* rm,
   PDPA_CHECK(workload_ != nullptr);
   PDPA_CHECK(sim != nullptr);
   PDPA_CHECK(rm != nullptr);
+  events_ = sim->sinks().event_log;
   Registry& registry = sim->registry();
   submits_ = registry.counter("qs.submits");
   starts_ = registry.counter("qs.starts");

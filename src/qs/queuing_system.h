@@ -40,6 +40,7 @@ class QueuingSystem {
     bool hold_rigid_until_fit = false;
   };
 
+  // Records into the simulation's event log (Simulation::Sinks), if any.
   QueuingSystem(Simulation* sim, ResourceManager* rm, std::vector<JobSpec> workload,
                 QueueOrder order = QueueOrder::kFcfs);
   QueuingSystem(Simulation* sim, ResourceManager* rm, std::vector<JobSpec> workload,
@@ -51,9 +52,6 @@ class QueuingSystem {
 
   QueuingSystem(const QueuingSystem&) = delete;
   QueuingSystem& operator=(const QueuingSystem&) = delete;
-
-  // Flight-recorder sink (borrowed, optional); wire before Start().
-  void set_event_log(EventLog* log) { events_ = log; }
 
   // Schedules the arrival events and hooks the RM callbacks; call once.
   void Start();
@@ -97,7 +95,8 @@ class QueuingSystem {
   int max_ml_ = 0;
   bool started_ = false;
 
-  EventLog* events_ = nullptr;  // may be null
+  // The simulation's event log, read at construction; may be null.
+  EventLog* events_;
   // Per-run instruments, resolved once from the simulation's registry.
   Counter* submits_;
   Counter* starts_;

@@ -13,7 +13,6 @@ EqualEfficiency::EqualEfficiency() : EqualEfficiency(Params{}) {}
 EqualEfficiency::EqualEfficiency(Params params) : params_(params) {
   PDPA_CHECK_GE(params.fixed_ml, 1);
   PDPA_CHECK_GE(params.history, 2);
-  BindInstruments(Registry::Default());
 }
 
 void EqualEfficiency::BindInstruments(Registry& registry) {

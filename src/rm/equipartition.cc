@@ -9,7 +9,6 @@ namespace pdpa {
 
 Equipartition::Equipartition(int fixed_ml) : fixed_ml_(fixed_ml) {
   PDPA_CHECK_GE(fixed_ml, 1);
-  BindInstruments(Registry::Default());
 }
 
 void Equipartition::BindInstruments(Registry& registry) {

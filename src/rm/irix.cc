@@ -11,7 +11,6 @@ IrixTimeShare::IrixTimeShare(Params params, Rng rng) : params_(params), rng_(rng
   PDPA_CHECK_GE(params.fixed_ml, 1);
   PDPA_CHECK_GE(params.migration_cost, 0.0);
   PDPA_CHECK_LE(params.migration_cost, 1.0);
-  BindInstruments(Registry::Default());
 }
 
 void IrixTimeShare::BindInstruments(Registry& registry) {

@@ -13,7 +13,6 @@ McCannDynamic::McCannDynamic() : McCannDynamic(Params{}) {}
 McCannDynamic::McCannDynamic(Params params) : params_(params) {
   PDPA_CHECK_GE(params.fixed_ml, 1);
   PDPA_CHECK_GE(params.probe, 0);
-  BindInstruments(Registry::Default());
 }
 
 void McCannDynamic::BindInstruments(Registry& registry) {

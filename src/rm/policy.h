@@ -4,6 +4,10 @@
 // per-job processor *counts*; the RM turns counts into concrete CPU sets.
 // Time-sharing policies (the native-IRIX model) bypass partitioning and
 // schedule kernel threads per tick instead.
+//
+// A policy records nothing until attached: the ResourceManager attaches it
+// to its simulation's registry and event log when it is built (Attach), and
+// a policy driven without an RM must be attached the same way.
 #ifndef SRC_RM_POLICY_H_
 #define SRC_RM_POLICY_H_
 
@@ -61,19 +65,15 @@ class SchedulingPolicy {
 
   virtual std::string name() const = 0;
 
-  // Flight-recorder sink for policy-internal decisions (PDPA automaton
-  // transitions). Borrowed; null (the default) disables recording.
-  void set_event_log(EventLog* log) { event_log_ = log; }
-
-  // Per-run counter registry (borrowed). The ResourceManager calls this with
-  // the run's registry before driving the policy; a policy constructed
-  // standalone (unit tests, benches) records into Registry::Default() until
-  // then. Null is ignored.
-  void set_registry(Registry* registry) {
-    if (registry != nullptr) {
-      registry_ = registry;
-      BindInstruments(*registry);
-    }
+  // Binds the policy to its run: instruments resolve from `registry`, and
+  // policy-internal decisions (PDPA automaton transitions) record into
+  // `event_log` (null disables recording). Both are borrowed. The
+  // ResourceManager attaches its policy once, at construction, to its
+  // simulation's registry and event log; a policy driven standalone must be
+  // attached before its first callback.
+  void Attach(Registry& registry, EventLog* event_log = nullptr) {
+    event_log_ = event_log;
+    BindInstruments(registry);
   }
 
   // Human-readable per-application search state for the time-series sampler
@@ -146,13 +146,10 @@ class SchedulingPolicy {
   }
 
  protected:
-  // Re-resolves the policy's instrument pointers from `registry`. Counting
-  // policies override this and call it from their constructor with
-  // Registry::Default() so instruments exist before set_registry.
+  // Resolves the policy's instrument pointers from `registry` (see Attach).
   virtual void BindInstruments(Registry& registry) { (void)registry; }
 
   EventLog* event_log_ = nullptr;
-  Registry* registry_ = &Registry::Default();
 };
 
 }  // namespace pdpa

@@ -27,43 +27,47 @@ constexpr int kDrainWalkCap = 64;
 #endif
 
 ResourceManager::ResourceManager(Params params, std::unique_ptr<SchedulingPolicy> policy,
-                                 Simulation* sim, TraceRecorder* trace, Rng rng)
+                                 Simulation* sim, Rng rng)
     : params_(params),
       policy_(std::move(policy)),
       sim_(sim),
-      trace_(trace),
       rng_(rng),
       machine_(params.num_cpus) {
   PDPA_CHECK(policy_ != nullptr);
   PDPA_CHECK(sim_ != nullptr);
   PDPA_CHECK_GT(params.tick, 0);
   PDPA_CHECK_GE(params.quantum, params.tick);
-  // The whole stack of one run shares the simulation's registry; rebinding
-  // the policy here is what isolates concurrent sweep cells from each other.
-  registry_ = &sim_->registry();
-  policy_->set_registry(registry_);
-  jobs_started_ = registry_->counter("rm.jobs_started");
-  jobs_finished_ = registry_->counter("rm.jobs_finished");
-  reallocations_ = registry_->counter("rm.reallocations");
-  plans_applied_ = registry_->counter("rm.plans_applied");
-  cpu_handoffs_ = registry_->counter("rm.cpu_handoffs");
-  cpu_migrations_ = registry_->counter("rm.cpu_migrations");
-  perf_reports_ = registry_->counter("rm.perf_reports");
-  ticks_fired_ = registry_->counter("rm.ticks");
-  ticks_elided_ = registry_->counter("rm.ticks_elided");
-  free_cpus_gauge_ = registry_->gauge("machine.free_cpus");
-  report_efficiency_ = registry_->histogram("rm.report_efficiency",
-                                            {0.2, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2});
+  const Simulation::Sinks& sinks = sim_->sinks();
+  events_ = sinks.event_log;
+  timeseries_ = sinks.timeseries;
+  trace_ = sinks.trace;
+  profiler_ = sinks.profiler;
+  elide_ = !params_.exact_ticks && !policy_->is_time_sharing() && trace_ == nullptr;
+  quantum_passive_ = elide_ && policy_->quantum_passive();
+  fast_path_ = params_.boundary_batch && quantum_passive_ && policy_->report_passive() &&
+               events_ == nullptr && timeseries_ == nullptr;
+  // The whole stack of one run shares the simulation's registry, which is
+  // what isolates concurrent sweep cells from each other.
+  Registry& registry = sim_->registry();
+  policy_->Attach(registry, events_);
+  jobs_started_ = registry.counter("rm.jobs_started");
+  jobs_finished_ = registry.counter("rm.jobs_finished");
+  reallocations_ = registry.counter("rm.reallocations");
+  plans_applied_ = registry.counter("rm.plans_applied");
+  cpu_handoffs_ = registry.counter("rm.cpu_handoffs");
+  cpu_migrations_ = registry.counter("rm.cpu_migrations");
+  perf_reports_ = registry.counter("rm.perf_reports");
+  ticks_fired_ = registry.counter("rm.ticks");
+  ticks_elided_ = registry.counter("rm.ticks_elided");
+  free_cpus_gauge_ = registry.gauge("machine.free_cpus");
+  report_efficiency_ =
+      registry.histogram("rm.report_efficiency", {0.2, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0, 1.2});
 }
 
 void ResourceManager::Start() {
   PDPA_CHECK(!tick_active_);
   tick_origin_ = sim_->now();
   advanced_to_ = tick_origin_;
-  elide_ = !params_.exact_ticks && !policy_->is_time_sharing() && trace_ == nullptr;
-  quantum_passive_ = elide_ && policy_->quantum_passive();
-  fast_path_ = params_.boundary_batch && quantum_passive_ && policy_->report_passive() &&
-               events_ == nullptr && timeseries_ == nullptr;
   next_ts_sample_ = sim_->now() + params_.quantum;
   // The tick is scheduled before the quantum task so that when tick ==
   // quantum their first firings keep the historical tick-then-quantum order.
@@ -92,10 +96,6 @@ void ResourceManager::StartResumed(const ResumeState& state) {
   PDPA_CHECK(order_.empty()) << "StartResumed on a non-quiescent resource manager";
   tick_origin_ = state.origin;
   advanced_to_ = state.advanced_to;
-  elide_ = !params_.exact_ticks && !policy_->is_time_sharing() && trace_ == nullptr;
-  quantum_passive_ = elide_ && policy_->quantum_passive();
-  fast_path_ = params_.boundary_batch && quantum_passive_ && policy_->report_passive() &&
-               events_ == nullptr && timeseries_ == nullptr;
   next_ts_sample_ = state.next_ts_sample;
   tick_active_ = true;
   // Recreate the cold run's pending tick. Tick before quantum, as in
@@ -221,7 +221,7 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
   if (analyzer_counters_.reports == nullptr) {
     // Bound at the first start, not in the constructor: a run that never
     // starts a job lists no analyzer counters in its recorded dump.
-    analyzer_counters_ = AnalyzerCounters::Bind(*registry_);
+    analyzer_counters_ = AnalyzerCounters::Bind(sim_->registry());
   }
   const AppProfile* interned = Intern(profile);
   RunningJob& running = slots_[static_cast<std::size_t>(slot)];

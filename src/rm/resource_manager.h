@@ -84,8 +84,11 @@ class ResourceManager {
   // queuing system to start more jobs.
   using StateChangeCallback = std::function<void(SimTime)>;
 
+  // Reads its flight-recorder sinks (event log, time series, CPU trace,
+  // profiler) from `sim` and attaches `policy` to the simulation's registry
+  // and event log; the policy's and the RM's instruments register here.
   ResourceManager(Params params, std::unique_ptr<SchedulingPolicy> policy, Simulation* sim,
-                  TraceRecorder* trace, Rng rng);
+                  Rng rng);
 
   ResourceManager(const ResourceManager&) = delete;
   ResourceManager& operator=(const ResourceManager&) = delete;
@@ -95,15 +98,6 @@ class ResourceManager {
     on_state_change_ = std::move(callback);
   }
 
-  // Flight-recorder sinks (all borrowed, all optional). The event log also
-  // reaches the policy through SchedulingPolicy::set_event_log; wire both
-  // before Start().
-  void set_event_log(EventLog* log) { events_ = log; }
-  void set_timeseries(TimeSeriesSampler* sampler) { timeseries_ = sampler; }
-  // Borrowed host-time profiler; null (the default) disables span timing.
-  // Wraps the progress tick (rm.tick), the quantum scan (rm.quantum) and
-  // every policy callback (policy.decide).
-  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
   // Lets machine samples include the queuing system's backlog.
   void set_queue_depth_provider(std::function<int()> provider) {
     queue_depth_ = std::move(provider);
@@ -301,7 +295,6 @@ class ResourceManager {
   Params params_;
   std::unique_ptr<SchedulingPolicy> policy_;
   Simulation* sim_;
-  TraceRecorder* trace_;  // may be null
   Rng rng_;
   Machine machine_;
 
@@ -344,9 +337,17 @@ class ResourceManager {
   JobFinishCallback on_finish_;
   StateChangeCallback on_state_change_;
 
-  // Tick-event state. The tick is a self-rescheduled one-shot (not a
-  // periodic task) so it can be parked at the event horizon and pulled back
-  // to the fine grid on mid-span mutations.
+  // Flight-recorder sinks, read from the simulation at construction (all
+  // borrowed, each may be null). The profiler wraps the progress tick
+  // (rm.tick), the quantum scan (rm.quantum) and every policy callback
+  // (policy.decide).
+  EventLog* events_ = nullptr;
+  TimeSeriesSampler* timeseries_ = nullptr;
+  TraceRecorder* trace_ = nullptr;
+  Profiler* profiler_ = nullptr;
+
+  // Fast-path gates, fixed at construction with the sinks. Tick elision:
+  // no exact-tick escape hatch, no time-sharing policy and no CPU trace.
   bool elide_ = false;
   // elide_ plus a policy whose OnQuantum is a guaranteed no-op: the quantum
   // periodic is not scheduled at all and does not cap the elision horizon.
@@ -355,6 +356,10 @@ class ResourceManager {
   // policy (quantum and report) and no event-log / time-series / trace sinks,
   // whose exact per-boundary drain instants the outputs could observe.
   bool fast_path_ = false;
+
+  // Tick-event state. The tick is a self-rescheduled one-shot (not a
+  // periodic task) so it can be parked at the event horizon and pulled back
+  // to the fine grid on mid-span mutations.
   bool tick_active_ = false;   // Start() .. Stop()
   bool tick_pending_ = false;  // a tick event is outstanding
   EventId tick_event_ = 0;
@@ -363,14 +368,10 @@ class ResourceManager {
   SimTime advanced_to_ = 0;  // all jobs integrated up to here
   int quantum_task_ = -1;
 
-  EventLog* events_ = nullptr;               // may be null
-  TimeSeriesSampler* timeseries_ = nullptr;  // may be null
-  Profiler* profiler_ = nullptr;             // may be null
   std::function<int()> queue_depth_;
   SimTime next_ts_sample_ = 0;
 
   // Per-run instruments, resolved once from the simulation's registry.
-  Registry* registry_;
   Counter* jobs_started_;
   Counter* jobs_finished_;
   Counter* reallocations_;

@@ -24,7 +24,7 @@ class NthLibBinding {
   // `counters` are the run's analyzer instruments, forwarded to the
   // SelfAnalyzer.
   NthLibBinding(std::unique_ptr<Application> app, SelfAnalyzerParams analyzer_params, Rng rng,
-                AnalyzerCounters counters = AnalyzerCounters::Bind(Registry::Default()));
+                AnalyzerCounters counters);
 
   NthLibBinding(const NthLibBinding&) = delete;
   NthLibBinding& operator=(const NthLibBinding&) = delete;

@@ -77,8 +77,7 @@ struct AnalyzerCounters {
 class SelfAnalyzer final : public IterationObserver {
  public:
   // `app` must outlive the analyzer, and `counters` the run's registry.
-  SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng,
-               AnalyzerCounters counters = AnalyzerCounters::Bind(Registry::Default()));
+  SelfAnalyzer(Application* app, SelfAnalyzerParams params, Rng rng, AnalyzerCounters counters);
 
   // Re-initializes the analyzer in place for the job its application now
   // holds (after Application::Reset), with a fresh random stream: equal to

@@ -3,20 +3,23 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/obs/event_log.h"
 
 namespace pdpa {
 
-Simulation::Simulation(Registry* registry)
-    : registry_(registry != nullptr ? registry : &Registry::Default()),
-      events_dispatched_(registry_->counter("sim.events_dispatched")),
-      periodic_fires_(registry_->counter("sim.periodic_fires")) {}
+Simulation::Simulation() : Simulation(Sinks{}) {}
+
+Simulation::Simulation(const Sinks& sinks)
+    : sinks_(sinks),
+      events_dispatched_(registry_.counter("sim.events_dispatched")),
+      periodic_fires_(registry_.counter("sim.periodic_fires")) {
+  events_.set_profiler(sinks.profiler);
+  if (sinks.event_log != nullptr) {
+    sinks.event_log->set_profiler(sinks.profiler);
+  }
+}
 
 Simulation::~Simulation() { ClearLogSimTime(); }
-
-EventId Simulation::After(SimDuration delay, EventCallback callback) {
-  PDPA_CHECK_GE(delay, 0);
-  return events_.Schedule(now_ + delay, std::move(callback));
-}
 
 int Simulation::SchedulePeriodic(SimTime start, SimDuration period,
                                  std::function<void(SimTime)> callback) {
@@ -26,12 +29,6 @@ int Simulation::SchedulePeriodic(SimTime start, SimDuration period,
   periodic_.back().pending =
       events_.Schedule(start, [this, handle, start] { FirePeriodic(handle, start); });
   return handle;
-}
-
-void Simulation::StopPeriodic(int handle) {
-  PDPA_CHECK_GE(handle, 0);
-  PDPA_CHECK_LT(handle, static_cast<int>(periodic_.size()));
-  periodic_[static_cast<std::size_t>(handle)].active = false;
 }
 
 void Simulation::CancelPeriodic(int handle) {
@@ -83,14 +80,13 @@ void Simulation::Restore(SimTime now) {
 }
 
 SimTime Simulation::RunUntil(SimTime until) {
-  stop_requested_ = false;
-  while (!events_.empty() && !stop_requested_) {
+  while (!events_.empty()) {
     const SimTime next = events_.NextTime();
     if (next > until) {
       break;
     }
     // Advance the clock before dispatching so callbacks observing now() (and
-    // scheduling relative work with After) see the event's own time.
+    // scheduling relative work) see the event's own time.
     now_ = next;
     SetLogSimTimeUs(now_);
     events_dispatched_->Increment();
@@ -98,17 +94,6 @@ SimTime Simulation::RunUntil(SimTime until) {
   }
   if (now_ < until && events_.empty()) {
     now_ = until;
-  }
-  return now_;
-}
-
-SimTime Simulation::RunToCompletion() {
-  stop_requested_ = false;
-  while (!events_.empty() && !stop_requested_) {
-    now_ = events_.NextTime();
-    SetLogSimTimeUs(now_);
-    events_dispatched_->Increment();
-    events_.RunNext();
   }
   return now_;
 }

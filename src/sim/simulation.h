@@ -1,4 +1,5 @@
-// Simulation driver: owns the clock and the event queue, and provides
+// Simulation driver: owns the clock, the event queue and the run's counter
+// registry, carries the run's borrowed observability sinks, and provides
 // periodic-task plumbing (ticks, scheduler quanta).
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
@@ -11,13 +12,30 @@
 
 namespace pdpa {
 
+class EventLog;
+class Profiler;
+class TimeSeriesSampler;
+class TraceRecorder;
+
 class Simulation {
  public:
-  // `registry` is the per-run observability registry (borrowed); null means
-  // the process-wide Registry::Default(). Every component of one simulated
-  // stack resolves its instruments through registry(), which is what lets
-  // the sweep engine run simulations concurrently with isolated counters.
-  explicit Simulation(Registry* registry = nullptr);
+  // The run's flight-recorder sinks, borrowed and all optional (null
+  // disables that recording). Fixed at construction: the resource manager,
+  // queuing system and policy read them from here when they are built.
+  struct Sinks {
+    EventLog* event_log = nullptr;
+    TimeSeriesSampler* timeseries = nullptr;
+    // CPU-ownership trace (Fig. 5 / Table 2); disables tick elision.
+    TraceRecorder* trace = nullptr;
+    // Host-time profiler; wired into the event queue and event log here.
+    Profiler* profiler = nullptr;
+  };
+
+  // Every component of one simulated stack resolves its instruments through
+  // registry(), which this simulation owns: separately built simulations
+  // never share a counter, so concurrent runs are isolated by construction.
+  Simulation();
+  explicit Simulation(const Sinks& sinks);
   // Retires this simulation's clock from the log-line time prefix.
   ~Simulation();
 
@@ -26,38 +44,32 @@ class Simulation {
 
   SimTime now() const { return now_; }
   EventQueue& events() { return events_; }
-  Registry& registry() const { return *registry_; }
-
-  // Schedules a one-shot callback `delay` from now.
-  EventId After(SimDuration delay, EventCallback callback);
+  Registry& registry() { return registry_; }
+  const Sinks& sinks() const { return sinks_; }
 
   // Schedules `callback(now)` every `period` starting at `start`. The task
-  // keeps rescheduling itself until Stop() is called or the run ends.
-  // Returns a handle usable with StopPeriodic.
+  // keeps rescheduling itself until CancelPeriodic is called or the run
+  // ends. Returns a handle usable with CancelPeriodic.
   int SchedulePeriodic(SimTime start, SimDuration period, std::function<void(SimTime)> callback);
-  void StopPeriodic(int handle);
 
-  // Like StopPeriodic, but also cancels the task's pending chain event so no
-  // dead event lingers in the queue. A fully cancelled periodic leaves the
-  // queue state exactly as if the task had never rescheduled — required by
-  // the cluster engine, which parks idle node simulations and asserts their
-  // queues empty before warping the clock with AdvanceTo.
+  // Stops a periodic task and cancels its pending chain event, so no dead
+  // event lingers in the queue. A cancelled periodic leaves the queue state
+  // exactly as if the task had never rescheduled — required by the cluster
+  // engine, which parks idle node simulations and asserts their queues
+  // empty before warping the clock with AdvanceTo.
   void CancelPeriodic(int handle);
 
-  // Runs events until the queue is empty, RequestStop() is called, or the
-  // next event lies beyond `until`. Returns the final simulation time.
+  // Runs events until the queue is empty or the next event lies beyond
+  // `until`. Returns the final simulation time.
   //
   // Contract: now() advances to exactly `until` only when the queue drained
   // completely. When the loop stops because the next pending event is later
-  // than `until`, or because RequestStop() fired, now() stays at the time of
-  // the last dispatched event — which may be strictly less than `until`. In
-  // particular a periodic task with period P leaves now() at its last firing
-  // <= until (the next instance straddles the horizon and stays queued), so
-  // callers must not assume now() == until while events remain pending.
+  // than `until`, now() stays at the time of the last dispatched event —
+  // which may be strictly less than `until`. In particular a periodic task
+  // with period P leaves now() at its last firing <= until (the next
+  // instance straddles the horizon and stays queued), so callers must not
+  // assume now() == until while events remain pending.
   SimTime RunUntil(SimTime until);
-
-  // Runs until the queue drains completely.
-  SimTime RunToCompletion();
 
   // Dispatches exactly the next pending event (the queue must be non-empty),
   // advancing now() to its time first. The cluster shard loop uses this to
@@ -71,9 +83,6 @@ class Simulation {
   // job-arrival time and to catch a lagging node clock up to a cluster
   // placement instant.
   void AdvanceTo(SimTime t);
-
-  // Requests that the run loop stop after the current event.
-  void RequestStop() { stop_requested_ = true; }
 
   // Shared-prefix forking support. Snapshot() reads the clock of a quiesced
   // simulation; Restore() stamps that clock onto a *fresh* simulation whose
@@ -100,9 +109,9 @@ class Simulation {
   SimTime now_ = 0;
   EventQueue events_;
   std::vector<PeriodicTask> periodic_;
-  bool stop_requested_ = false;
 
-  Registry* registry_;
+  Sinks sinks_;
+  Registry registry_;
   Counter* events_dispatched_;
   Counter* periodic_fires_;
 };

@@ -132,8 +132,9 @@ SimTime FirstArrival(const std::vector<JobSpec>& jobs) {
 }
 
 // Assembles the policy/RM/QS stack for one run. The pieces live in the
-// caller's frame; this only centralizes construction and sink wiring so the
-// cold and forked entry points cannot drift apart.
+// caller's frame; this only centralizes construction so the cold and forked
+// entry points cannot drift apart. The sinks reach every layer through the
+// simulation.
 struct Stack {
   Simulation sim;
   ResourceManager rm;
@@ -141,17 +142,12 @@ struct Stack {
 
   Stack(const ExperimentConfig& config, TraceRecorder* trace,
         std::shared_ptr<const std::vector<JobSpec>> jobs)
-      : sim(config.registry),
-        rm(WithCpus(config), MakeWiredPolicy(config), &sim, trace, Rng(config.seed ^ 0x5EEDULL)),
+      : sim(Simulation::Sinks{.event_log = config.event_log,
+                              .timeseries = config.timeseries,
+                              .trace = trace,
+                              .profiler = config.profiler}),
+        rm(WithCpus(config), MakePolicy(config), &sim, Rng(config.seed ^ 0x5EEDULL)),
         qs(&sim, &rm, std::move(jobs), QsOptions(config)) {
-    rm.set_event_log(config.event_log);
-    rm.set_timeseries(config.timeseries);
-    rm.set_profiler(config.profiler);
-    sim.events().set_profiler(config.profiler);
-    if (config.event_log != nullptr) {
-      config.event_log->set_profiler(config.profiler);
-    }
-    qs.set_event_log(config.event_log);
     rm.set_queue_depth_provider([this] { return qs.queued(); });
   }
 
@@ -159,12 +155,6 @@ struct Stack {
     ResourceManager::Params rm_params = config.rm;
     rm_params.num_cpus = config.num_cpus;
     return rm_params;
-  }
-
-  static std::unique_ptr<SchedulingPolicy> MakeWiredPolicy(const ExperimentConfig& config) {
-    std::unique_ptr<SchedulingPolicy> policy = MakePolicy(config);
-    policy->set_event_log(config.event_log);
-    return policy;
   }
 
   static QueuingSystem::Options QsOptions(const ExperimentConfig& config) {
@@ -204,6 +194,7 @@ ExperimentResult DriveAndCollect(const ExperimentConfig& config, Stack& stack,
   for (const auto& [when, ml] : stack.qs.ml_timeline()) {
     result.ml_timeline_s.emplace_back(TimeToSeconds(when), ml);
   }
+  result.counters = stack.sim.registry().Snapshot();
   if (trace != nullptr) {
     trace->Finalize(stack.sim.now());
     result.trace_stats = trace->ComputeStats();
@@ -278,14 +269,10 @@ PrefixSnapshot BuildPrefixSnapshot(const ExperimentConfig& config,
   // A throwaway private stack: sentinel policy, no QS (nothing arrives), no
   // event log (the only prefix record, run_start, is policy-specific and
   // emitted by each forked cell itself), private registry and sampler.
-  Registry prefix_registry;
-  Simulation sim(&prefix_registry);
-  ResourceManager rm(Stack::WithCpus(config), std::make_unique<PrefixSentinelPolicy>(), &sim,
-                     nullptr, Rng(config.seed ^ 0x5EEDULL));
   TimeSeriesSampler prefix_ts;
-  if (snapshot.with_timeseries) {
-    rm.set_timeseries(&prefix_ts);
-  }
+  Simulation sim(Simulation::Sinks{.timeseries = snapshot.with_timeseries ? &prefix_ts : nullptr});
+  ResourceManager rm(Stack::WithCpus(config), std::make_unique<PrefixSentinelPolicy>(), &sim,
+                     Rng(config.seed ^ 0x5EEDULL));
   rm.Start();
   sim.RunUntil(first - 1);
 
@@ -294,7 +281,7 @@ PrefixSnapshot BuildPrefixSnapshot(const ExperimentConfig& config,
   // cells resume from exactly that instant.
   snapshot.divergence = sim.Snapshot();
   snapshot.rm = rm.ResumeStateNow();
-  snapshot.registry = prefix_registry.Snapshot();
+  snapshot.registry = sim.registry().Snapshot();
   snapshot.machine_points = prefix_ts.machine();
   return snapshot;
 }

@@ -2,6 +2,11 @@
 // (machine + RM + QS + runtime bindings + trace) and executes a workload
 // under one policy. pdpa_figures, the sweep engine and the integration
 // tests go through this entry point.
+//
+// Each run builds its own Simulation, which owns the run's counter registry
+// and carries the config's sinks to every layer; the final counter snapshot
+// comes back in ExperimentResult::counters. Concurrent runs therefore need
+// no registry plumbing, only sinks of their own.
 #ifndef SRC_WORKLOAD_EXPERIMENT_H_
 #define SRC_WORKLOAD_EXPERIMENT_H_
 
@@ -72,22 +77,15 @@ struct ExperimentConfig {
   // non-empty, workload/load/seed/untuned are ignored for generation.
   std::vector<JobSpec> jobs_override;
 
-  // Flight-recorder sinks (borrowed, optional). When set, the runner wires
-  // them through the QS, RM, and policy for the duration of the experiment.
+  // Flight-recorder sinks (borrowed, optional), handed to the run's
+  // Simulation (see Simulation::Sinks). Concurrent runs need their own.
   EventLog* event_log = nullptr;
   TimeSeriesSampler* timeseries = nullptr;
 
-  // Host-time self-profiler (borrowed, optional). When set, the runner wires
-  // it through the event queue, RM, and event log; span hit counts are a
+  // Host-time self-profiler (borrowed, optional). Span hit counts are a
   // deterministic function of the simulated schedule, nanosecond totals are
-  // host-dependent. Like the registry, concurrent runs need their own.
+  // host-dependent.
   Profiler* profiler = nullptr;
-
-  // Counter/gauge/histogram registry for this run (borrowed, optional).
-  // Null falls back to the process-global Registry::Default(). Concurrent
-  // RunExperiment calls (the sweep engine) MUST each pass their own registry:
-  // it is what isolates their observability state from each other.
-  Registry* registry = nullptr;
 };
 
 struct ExperimentResult {
@@ -118,6 +116,9 @@ struct ExperimentResult {
   // Per-class slowdown (response / exec) distributions from the QS. Always
   // populated; integer bucket counts merge exactly across replicas.
   std::map<AppClass, LogHistogram> slowdown;
+
+  // The run's registry at the end of the run (the --counters dump).
+  RegistrySnapshot counters;
 };
 
 // Builds the policy instance for `config`.

@@ -26,7 +26,6 @@ std::vector<SweepCell> ExpandGrid(const SweepGrid& grid) {
   PDPA_CHECK(!grid.seeds.empty());
   PDPA_CHECK_GE(grid.nodes, 1);
   PDPA_CHECK_GE(grid.cpus_per_node, 1);
-  PDPA_CHECK(grid.base.registry == nullptr) << "RunSweep installs per-cell registries";
   PDPA_CHECK(grid.base.event_log == nullptr) << "RunSweep installs per-cell event logs";
   PDPA_CHECK(grid.base.timeseries == nullptr) << "RunSweep installs per-cell samplers";
   const bool cluster = grid.nodes > 1;
@@ -107,9 +106,10 @@ struct ForkGroup {
 // string, the event log (keeping its interned vocabulary and 64 KiB write
 // buffer across Reset) and the time-series sampler (keeping its vectors'
 // capacity across Clear). Recordings are content-deterministic, so reuse
-// cannot change output bytes. The Registry is deliberately NOT reused: a
-// recycled registry would carry instruments registered by earlier cells as
-// ghost zero-valued entries in the next cell's counter snapshot.
+// cannot change output bytes. There is no Registry here: each cell's
+// Simulation owns a fresh one, since a recycled registry would carry
+// instruments registered by earlier cells as ghost zero-valued entries in
+// the next cell's counter snapshot.
 struct CellScratch {
   std::ostringstream events;
   EventLog event_log{nullptr};
@@ -122,9 +122,7 @@ struct CellScratch {
 // need no lock).
 void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_prefix, int worker,
              ForkGroup* group, CellScratch* scratch, char* forked, SweepCellResult* out) {
-  Registry registry;
   ExperimentConfig config = cell.config;
-  config.registry = &registry;
   scratch->events.str(std::string());
   scratch->event_log.Reset(options.capture_events ? &scratch->events : nullptr);
   if (options.capture_events) {
@@ -189,7 +187,7 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_pref
     ProfScope serialize_scope(options.capture_prof ? &out->profile : nullptr,
                               SpanId::kObsSerialize);
     if (options.capture_counters) {
-      out->counters = registry.Snapshot();
+      out->counters = std::move(out->result.counters);
     }
     if (options.capture_events) {
       scratch->event_log.Flush();  // The log buffers; push bytes out before reading.

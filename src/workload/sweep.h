@@ -2,8 +2,9 @@
 // policies x seeds) across a pool of worker threads.
 //
 // Each grid cell executes one RunExperiment with a *private* observability
-// context — its own Registry, EventLog sink and TimeSeriesSampler — so N
-// simulations can run concurrently without sharing any mutable state. Cells
+// context — its Simulation's own Registry, EventLog sink and
+// TimeSeriesSampler — so N simulations can run concurrently without sharing
+// any mutable state. Cells
 // are handed to workers through a mutex-guarded cursor (one claim per whole
 // simulation, so contention is noise; the lock keeps the queue visible to
 // clang's thread-safety analysis) and every result is stored at the cell's
@@ -37,8 +38,8 @@ namespace pdpa {
 
 // The sweep axes plus the template config shared by every cell. The
 // template's workload/load/policy/seed are overwritten per cell; its
-// event_log/timeseries/registry pointers must be null (RunSweep installs
-// per-cell sinks itself).
+// event_log/timeseries pointers must be null (RunSweep installs per-cell
+// sinks itself).
 struct SweepGrid {
   ExperimentConfig base;
   std::vector<WorkloadId> workloads = {WorkloadId::kW1};

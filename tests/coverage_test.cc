@@ -72,7 +72,9 @@ TEST(EventQueueStressTest, DispatchTimesAreMonotone) {
 TEST(EqualEfficiencyModelTest, HistoryEvictsOldestSamples) {
   EqualEfficiency::Params params;
   params.history = 2;
+  Registry registry;
   EqualEfficiency policy(params);
+  policy.Attach(registry);
   PolicyContext ctx;
   ctx.total_cpus = 16;
   PolicyJobInfo info;
@@ -102,7 +104,9 @@ TEST(EqualEfficiencyModelTest, HistoryEvictsOldestSamples) {
 TEST(EqualEfficiencyModelTest, AlphaClampPreventsWildExtrapolation) {
   EqualEfficiency::Params params;
   params.max_alpha = 1.0;
+  Registry registry;
   EqualEfficiency policy(params);
+  policy.Attach(registry);
   PolicyContext ctx;
   ctx.total_cpus = 64;
   PolicyJobInfo info;
@@ -141,7 +145,8 @@ TEST(SelfAnalyzerCoverageTest, MeasureWindowAveragesIterations) {
   params.amdahl_factor = 1.0;
   params.baseline_iterations = 1;
   params.measure_iterations = 3;  // window of 3
-  SelfAnalyzer analyzer(&app, params, Rng(1));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, params, Rng(1), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   analyzer.set_report_sink(&reports);
   app.set_observer(&analyzer);

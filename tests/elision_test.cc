@@ -138,17 +138,15 @@ CapturedRun RunCaptured(const GoldenCase& c, bool exact_ticks) {
   std::ostringstream events_stream;
   EventLog events(&events_stream);
   TimeSeriesSampler timeseries;
-  Registry registry;
   config.event_log = &events;
   config.timeseries = &timeseries;
-  config.registry = &registry;
   run.result = RunExperiment(config);
   events.Flush();  // The log buffers; push bytes out before reading.
   run.events = events_stream.str();
   std::ostringstream ts_stream;
   timeseries.WriteCsv(ts_stream);
   run.timeseries = ts_stream.str();
-  for (const CounterSnapshot& counter : registry.Snapshot().counters) {
+  for (const CounterSnapshot& counter : run.result.counters.counters) {
     if (counter.name == "rm.ticks") {
       run.ticks = counter.value;
     }

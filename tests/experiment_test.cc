@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/trace/paraver_reader.h"
 #include "src/workload/experiment.h"
@@ -39,6 +40,33 @@ TEST(ExperimentTest, EveryPolicyIsDeterministic) {
     EXPECT_DOUBLE_EQ(a.metrics.makespan_s, b.metrics.makespan_s) << PolicyKindName(kind);
     EXPECT_EQ(a.reallocations, b.reallocations) << PolicyKindName(kind);
   }
+}
+
+long long CounterOf(const RegistrySnapshot& snapshot, const std::string& name) {
+  for (const CounterSnapshot& counter : snapshot.counters) {
+    if (counter.name == name) {
+      return counter.value;
+    }
+  }
+  return -1;
+}
+
+// Each run counts into the registry its own Simulation owns: repeating a run
+// reproduces its counters instead of adding to the previous run's.
+TEST(ExperimentTest, SequentialRunsSeeOnlyTheirOwnCounters) {
+  ExperimentConfig config;
+  config.workload = WorkloadId::kW1;
+  config.load = 0.6;
+  config.policy = PolicyKind::kPdpa;
+  const ExperimentResult first = RunExperiment(config);
+  const ExperimentResult second = RunExperiment(config);
+  EXPECT_GT(CounterOf(first.counters, "analyzer.reports"), 0);
+  EXPECT_GT(CounterOf(first.counters, "sim.events_dispatched"), 0);
+  EXPECT_EQ(CounterOf(second.counters, "analyzer.reports"),
+            CounterOf(first.counters, "analyzer.reports"));
+  EXPECT_EQ(CounterOf(second.counters, "sim.events_dispatched"),
+            CounterOf(first.counters, "sim.events_dispatched"));
+  EXPECT_EQ(second.counters.ToString(), first.counters.ToString());
 }
 
 TEST(ExperimentTest, TraceArtifactsAreValidAndConsistent) {

@@ -75,10 +75,8 @@ CapturedRun RunCaptured(ExperimentConfig config, bool forked) {
   std::ostringstream events_stream;
   EventLog events(&events_stream);
   TimeSeriesSampler timeseries;
-  Registry registry;
   config.event_log = &events;
   config.timeseries = &timeseries;
-  config.registry = &registry;
   if (forked) {
     std::shared_ptr<const std::vector<JobSpec>> jobs = BuildJobs(config);
     EXPECT_TRUE(ForkEligible(config, *jobs));
@@ -92,7 +90,7 @@ CapturedRun RunCaptured(ExperimentConfig config, bool forked) {
   std::ostringstream ts_stream;
   timeseries.WriteCsv(ts_stream);
   run.timeseries = ts_stream.str();
-  run.counters = registry.Snapshot();
+  run.counters = std::move(run.result.counters);
   return run;
 }
 
@@ -189,8 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Snapshot/Restore primitives.
 
 TEST(SimulationRestoreTest, RestoreStampsTheClockOntoAFreshSimulation) {
-  Registry registry;
-  Simulation sim(&registry);
+  Simulation sim;
   sim.Restore(12345678);
   EXPECT_EQ(sim.now(), 12345678);
   // Restore is monotone: a second restore may only move forward.

@@ -1,91 +1,25 @@
-// Unit and property tests for the machine model: CpuSet and the
-// affinity-preserving allocation engine.
+// Unit and property tests for the machine model's affinity-preserving
+// allocation engine.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "src/common/rng.h"
-#include "src/machine/cpuset.h"
 #include "src/machine/machine.h"
 
 namespace pdpa {
 namespace {
 
-TEST(CpuSetTest, BasicOps) {
-  CpuSet set;
-  EXPECT_TRUE(set.Empty());
-  EXPECT_EQ(set.First(), -1);
-  set.Add(3);
-  set.Add(5);
-  EXPECT_EQ(set.Count(), 2);
-  EXPECT_TRUE(set.Contains(3));
-  EXPECT_FALSE(set.Contains(4));
-  EXPECT_EQ(set.First(), 3);
-  set.Remove(3);
-  EXPECT_FALSE(set.Contains(3));
-  EXPECT_EQ(set.Count(), 1);
-  EXPECT_FALSE(set.Contains(-1));
-  EXPECT_FALSE(set.Contains(kMaxCpus));
-}
-
-TEST(CpuSetTest, RangeAndToVector) {
-  const CpuSet set = CpuSet::Range(4, 3);
-  EXPECT_EQ(set.Count(), 3);
-  EXPECT_EQ(set.ToVector(), (std::vector<int>{4, 5, 6}));
-}
-
-TEST(CpuSetTest, SetAlgebra) {
-  const CpuSet a = CpuSet::Range(0, 4);   // 0-3
-  const CpuSet b = CpuSet::Range(2, 4);   // 2-5
-  EXPECT_EQ(a.Union(b).Count(), 6);
-  EXPECT_EQ(a.Intersect(b).ToVector(), (std::vector<int>{2, 3}));
-  EXPECT_EQ(a.Minus(b).ToVector(), (std::vector<int>{0, 1}));
-  EXPECT_TRUE(a.Intersect(CpuSet{}).Empty());
-}
-
-TEST(CpuSetTest, ToStringCompactsRuns) {
-  CpuSet set;
-  set.Add(0);
-  set.Add(1);
-  set.Add(2);
-  set.Add(8);
-  set.Add(10);
-  set.Add(11);
-  EXPECT_EQ(set.ToString(), "0-2,8,10-11");
-  EXPECT_EQ(CpuSet{}.ToString(), "");
-}
-
-TEST(CpuSetTest, WordBoundaryBits) {
-  // Bits straddling the 64-bit word seams of the two-word representation.
-  CpuSet set;
-  for (int cpu : {0, 63, 64, 127}) {
-    set.Add(cpu);
-    EXPECT_TRUE(set.Contains(cpu));
+// The CPUs `job` owns, ascending, read one by one through OwnerOf.
+std::vector<int> CpusOwnedBy(const Machine& machine, JobId job) {
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+    if (machine.OwnerOf(cpu) == job) {
+      cpus.push_back(cpu);
+    }
   }
-  EXPECT_EQ(set.Count(), 4);
-  EXPECT_EQ(set.First(), 0);
-  EXPECT_EQ(set.ToVector(), (std::vector<int>{0, 63, 64, 127}));
-  EXPECT_EQ(set.ToString(), "0,63-64,127");
-  set.Remove(63);
-  set.Remove(0);
-  EXPECT_EQ(set.First(), 64);
-  EXPECT_EQ(set.Count(), 2);
-}
-
-TEST(CpuSetTest, NextIteratesInOrder) {
-  CpuSet set;
-  const std::vector<int> cpus = {3, 62, 63, 64, 65, 100, 126, 127};
-  for (int cpu : cpus) {
-    set.Add(cpu);
-  }
-  std::vector<int> seen;
-  for (int cpu = set.First(); cpu >= 0; cpu = set.Next(cpu)) {
-    seen.push_back(cpu);
-  }
-  EXPECT_EQ(seen, cpus);
-  EXPECT_EQ(set.Next(127), -1);
-  EXPECT_EQ(CpuSet{}.First(), -1);
-  EXPECT_EQ(CpuSet{}.Next(0), -1);
+  return cpus;
 }
 
 TEST(MachineTest, StartsIdle) {
@@ -112,16 +46,19 @@ TEST(MachineTest, ShrinkReleasesHighestCpusFirst) {
   machine.ApplyAllocation({{1, 6}});
   // Job 1 owns cpus 0-5. Shrink to 3: cpus 3-5 released, 0-2 kept (affinity).
   machine.ApplyAllocation({{1, 3}});
-  EXPECT_EQ(machine.CpusOf(1).ToVector(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(CpusOwnedBy(machine, 1), (std::vector<int>{0, 1, 2}));
 }
 
 TEST(MachineTest, GrowPrefersIdleCpus) {
   Machine machine(10);
   machine.ApplyAllocation({{1, 3}, {2, 3}});
-  const CpuSet before = machine.CpusOf(1);
+  const std::vector<int> before = CpusOwnedBy(machine, 1);
   machine.ApplyAllocation({{1, 5}, {2, 3}});
   // Job 1 kept all its CPUs and gained two idle ones; job 2 untouched.
-  EXPECT_EQ(machine.CpusOf(1).Intersect(before).Count(), 3);
+  for (int cpu : before) {
+    EXPECT_EQ(machine.OwnerOf(cpu), 1) << "cpu " << cpu;
+  }
+  EXPECT_EQ(machine.CountOf(1), 5);
   EXPECT_EQ(machine.CountOf(2), 3);
 }
 
@@ -238,9 +175,9 @@ TEST(MachinePropertyTest, RandomAllocationSequencesStayConsistent) {
     }
 
     // Snapshot, apply, verify.
-    std::map<JobId, CpuSet> before;
+    std::map<JobId, std::vector<int>> before;
     for (const auto& [j, c] : current) {
-      before[j] = machine.CpusOf(j);
+      before[j] = CpusOwnedBy(machine, j);
     }
     const auto handoffs = machine.ApplyAllocation(target);
     int total = 0;
@@ -250,12 +187,13 @@ TEST(MachinePropertyTest, RandomAllocationSequencesStayConsistent) {
     }
     ASSERT_EQ(machine.FreeCpus(), 60 - total);
     // Affinity: a job whose target did not shrink keeps all previous CPUs.
-    for (const auto& [j, set] : before) {
+    for (const auto& [j, cpus] : before) {
       const auto it = target.find(j);
       const int want = it == target.end() ? 0 : it->second;
-      if (want >= set.Count()) {
-        ASSERT_EQ(machine.CpusOf(j).Intersect(set).Count(), set.Count())
-            << "job " << j << " lost a CPU it should have kept";
+      if (want >= static_cast<int>(cpus.size())) {
+        for (int cpu : cpus) {
+          ASSERT_EQ(machine.OwnerOf(cpu), j) << "job " << j << " lost a CPU it should have kept";
+        }
       }
     }
     // Every ownership difference is covered by exactly one handoff.

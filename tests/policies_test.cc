@@ -202,13 +202,17 @@ TEST(EquipartitionTest, EqualSplitMatchesRoundRobinWaterFilling) {
 }
 
 TEST(EquipartitionTest, AdmissionIsFixedMl) {
+  Registry registry;
   Equipartition policy(4);
+  policy.Attach(registry);
   EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}, {2, 30}, {3, 30}})));
   EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 30}, {2, 30}, {3, 30}, {4, 30}})));
 }
 
 TEST(EquipartitionTest, ReallocatesOnlyAtArrivalAndCompletion) {
+  Registry registry;
   Equipartition policy(4);
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}});
   EXPECT_FALSE(policy.OnJobStart(ctx, 2).empty());
   EXPECT_FALSE(policy.OnJobFinish(ctx, 3).empty());
@@ -219,14 +223,18 @@ TEST(EquipartitionTest, ReallocatesOnlyAtArrivalAndCompletion) {
 }
 
 TEST(EqualEfficiencyTest, UnknownJobAssumedLinear) {
+  Registry registry;
   EqualEfficiency policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}});
   (void)policy.OnJobStart(ctx, 1);
   EXPECT_DOUBLE_EQ(policy.ExtrapolatedSpeedup(1, 10), 10.0);
 }
 
 TEST(EqualEfficiencyTest, ExtrapolatesPowerLawFromTwoSamples) {
+  Registry registry;
   EqualEfficiency policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}});
   (void)policy.OnJobStart(ctx, 1);
   PerfReport report;
@@ -242,7 +250,9 @@ TEST(EqualEfficiencyTest, ExtrapolatesPowerLawFromTwoSamples) {
 }
 
 TEST(EqualEfficiencyTest, MostEfficientJobGetsMoreProcessors) {
+  Registry registry;
   EqualEfficiency policy;
+  policy.Attach(registry);
   // Capacity below the sum of requests so the split is contested.
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}}, /*total_cpus=*/40);
   (void)policy.OnJobStart(ctx, 1);
@@ -269,7 +279,9 @@ TEST(EqualEfficiencyTest, MostEfficientJobGetsMoreProcessors) {
 }
 
 TEST(EqualEfficiencyTest, PlanRespectsRequestsAndFloor) {
+  Registry registry;
   EqualEfficiency policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 2}, {2, 30}});
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
@@ -284,7 +296,9 @@ TEST(EqualEfficiencyTest, NoiseCausesAllocationVariance) {
   // The paper's complaint: small measurement changes produce large
   // reallocation swings. Two jobs with identical true curves but noisy
   // samples should receive meaningfully different allocations over time.
+  Registry registry;
   EqualEfficiency policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}}, /*total_cpus=*/40);
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
@@ -353,7 +367,9 @@ TEST(EqualEfficiencyDifferentialTest, IncrementalPlanMatchesPerRoundReference) {
   Rng scenario(77);
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   for (int trial = 0; trial < 200; ++trial) {
+    Registry registry;
     EqualEfficiency policy;
+    policy.Attach(registry);
     const int total_cpus = std::vector<int>{3, 8, 16, 60}[static_cast<std::size_t>(trial % 4)];
     const int njobs = scenario.UniformInt(1, total_cpus < 8 ? 5 : 4);
     PolicyContext ctx = MakeContext({}, total_cpus);
@@ -394,7 +410,9 @@ TEST(EqualEfficiencyDifferentialTest, IncrementalPlanMatchesPerRoundReference) {
 }
 
 TEST(IrixTest, ThreadsFollowJobLifecycle) {
+  Registry registry;
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
+  policy.Attach(registry);
   Machine machine(8);
   PolicyContext ctx = MakeContext({{1, 4}}, 8);
   (void)policy.OnJobStart(ctx, 1);
@@ -411,7 +429,9 @@ TEST(IrixTest, ThreadsFollowJobLifecycle) {
 }
 
 TEST(IrixTest, UndercommittedRunsEverythingWithoutOverhead) {
+  Registry registry;
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
+  policy.Attach(registry);
   Machine machine(16);
   PolicyContext ctx = MakeContext({{1, 4}, {2, 4}}, 16);
   (void)policy.OnJobStart(ctx, 1);
@@ -426,7 +446,9 @@ TEST(IrixTest, UndercommittedRunsEverythingWithoutOverhead) {
 }
 
 TEST(IrixTest, OvercommitSharesCpusAndDegrades) {
+  Registry registry;
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
+  policy.Attach(registry);
   Machine machine(8);
   PolicyContext ctx = MakeContext({{1, 8}, {2, 8}}, 8);
   (void)policy.OnJobStart(ctx, 1);
@@ -448,7 +470,9 @@ TEST(IrixTest, OvercommitSharesCpusAndDegrades) {
 }
 
 TEST(IrixTest, TimeSlicingCausesMigrations) {
+  Registry registry;
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
+  policy.Attach(registry);
   Machine machine(8);
   PolicyContext ctx = MakeContext({{1, 8}, {2, 8}}, 8);
   (void)policy.OnJobStart(ctx, 1);
@@ -467,7 +491,9 @@ TEST(IrixTest, OmpDynamicDriftsThreadCountsTowardFairShare) {
   params.omp_adjust_period = 100 * kMillisecond;  // fast, for the test
   params.omp_adjust_step = 2;
   params.omp_min_fraction = 0.5;  // floor 8 = the fair share
+  Registry registry;
   IrixTimeShare policy(params, Rng(1));
+  policy.Attach(registry);
   Machine machine(16);
   PolicyContext ctx = MakeContext({{1, 16}, {2, 16}}, 16);
   (void)policy.OnJobStart(ctx, 1);
@@ -486,7 +512,9 @@ TEST(IrixTest, OmpDynamicDriftsThreadCountsTowardFairShare) {
 TEST(IrixTest, OmpDynamicDisabledKeepsRequestThreads) {
   IrixTimeShare::Params params;
   params.omp_dynamic = false;
+  Registry registry;
   IrixTimeShare policy(params, Rng(1));
+  policy.Attach(registry);
   Machine machine(16);
   PolicyContext ctx = MakeContext({{1, 16}, {2, 16}}, 16);
   (void)policy.OnJobStart(ctx, 1);
@@ -501,14 +529,18 @@ TEST(IrixTest, OmpDynamicDisabledKeepsRequestThreads) {
 }
 
 TEST(IrixTest, IsTimeSharingAndFixedMl) {
+  Registry registry;
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
+  policy.Attach(registry);
   EXPECT_TRUE(policy.is_time_sharing());
   EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 8}})));
   EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 8}, {2, 8}, {3, 8}, {4, 8}})));
 }
 
 TEST(McCannDynamicTest, UnknownJobsSplitLikeEquipartition) {
+  Registry registry;
   McCannDynamic policy;
+  policy.Attach(registry);
   const AllocationPlan plan =
       policy.OnQuantum(MakeContext({{1, 30}, {2, 30}, {3, 30}, {4, 30}}));
   for (JobId j = 1; j <= 4; ++j) {
@@ -517,7 +549,9 @@ TEST(McCannDynamicTest, UnknownJobsSplitLikeEquipartition) {
 }
 
 TEST(McCannDynamicTest, IdlenessReportMovesProcessorsImmediately) {
+  Registry registry;
   McCannDynamic policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}});
   (void)policy.OnJobStart(ctx, 1);
   (void)policy.OnJobStart(ctx, 2);
@@ -533,7 +567,9 @@ TEST(McCannDynamicTest, IdlenessReportMovesProcessorsImmediately) {
 }
 
 TEST(McCannDynamicTest, FinishForgetsJobState) {
+  Registry registry;
   McCannDynamic policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}});
   PerfReport report;
   report.job = 2;
@@ -548,7 +584,9 @@ TEST(McCannDynamicTest, FinishForgetsJobState) {
 }
 
 TEST(McCannDynamicTest, PlanNeverBelowOneProcessor) {
+  Registry registry;
   McCannDynamic policy;
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}, {2, 30}});
   PerfReport report;
   report.job = 1;
@@ -565,7 +603,9 @@ TEST(IrixTest, ThreadReclaimsItsCpuAfterWaiting) {
   IrixTimeShare::Params params;
   params.affinity_bonus = 0;  // force alternation every tick
   params.vruntime_jitter = 0.0;
+  Registry registry;
   IrixTimeShare policy(params, Rng(1));
+  policy.Attach(registry);
   Machine machine(2);
   PolicyContext ctx = MakeContext({{1, 2}, {2, 2}}, 2);
   (void)policy.OnJobStart(ctx, 1);
@@ -787,7 +827,9 @@ TEST(IrixDifferentialTest, DispatchMatchesStableSortReference) {
     params.omp_adjust_step = scenario.UniformInt(1, 3);
     params.omp_min_fraction = scenario.Uniform(0.2, 1.0);
     const std::uint64_t seed = scenario.NextU64();
+    Registry registry;
     IrixTimeShare policy(params, Rng(seed));
+    policy.Attach(registry);
     ReferenceIrix reference(params, Rng(seed));
     const int ncpus = scenario.UniformInt(1, 16);
     Machine machine(ncpus);
@@ -842,7 +884,9 @@ TEST(IrixDifferentialTest, DispatchMatchesStableSortReference) {
 }
 
 TEST(SpaceSharingPolicyDeathTest, TimeShareTickForbidden) {
+  Registry registry;
   Equipartition policy(4);
+  policy.Attach(registry);
   Machine machine(4);
   PolicyContext ctx = MakeContext({}, 4);
   std::vector<TimeShare> shares;
@@ -850,7 +894,9 @@ TEST(SpaceSharingPolicyDeathTest, TimeShareTickForbidden) {
 }
 
 TEST(PdpaPolicyTest, LifecyclePlumbing) {
+  Registry registry;
   PdpaPolicy policy(PdpaParams{}, PdpaMlParams{});
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}}, 60, 60);
   AllocationPlan plan = policy.OnJobStart(ctx, 1);
   EXPECT_EQ(plan.at(1), 30);
@@ -872,7 +918,9 @@ TEST(PdpaPolicyTest, LifecyclePlumbing) {
 }
 
 TEST(PdpaPolicyTest, OnJobFinishRedistributesToEfficientStableJobs) {
+  Registry registry;
   PdpaPolicy policy(PdpaParams{}, PdpaMlParams{});
+  policy.Attach(registry);
   PolicyContext ctx = MakeContext({{1, 30}}, 60, 8);
   (void)policy.OnJobStart(ctx, 1);  // alloc 8
   PerfReport report;
@@ -890,7 +938,9 @@ TEST(PdpaPolicyTest, OnJobFinishRedistributesToEfficientStableJobs) {
 }
 
 TEST(PdpaPolicyTest, AdmissionRequiresFreeCpu) {
+  Registry registry;
   PdpaPolicy policy(PdpaParams{}, PdpaMlParams{});
+  policy.Attach(registry);
   EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 0)));
   EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 5)));
 }

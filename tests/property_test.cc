@@ -45,7 +45,8 @@ TEST_P(AnalyzerAccuracyTest, MeasuredSpeedupTracksTrueCurve) {
   SelfAnalyzerParams analyzer_params;
   analyzer_params.noise_sigma = 0.0;
   analyzer_params.amdahl_factor = 1.0;  // exact normalization for this check
-  NthLibBinding binding(std::move(app), analyzer_params, Rng(1));
+  Registry registry;
+  NthLibBinding binding(std::move(app), analyzer_params, Rng(1), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   binding.set_report_sink(&reports);
   binding.SetProcessors(param.procs, 0);
@@ -105,7 +106,7 @@ TEST_P(PdpaConvergenceTest, SingleAppSettlesAtAcceptableAllocation) {
   pdpa_params.high_eff = std::max(0.9, param.target_eff);
   auto policy = std::make_unique<PdpaPolicy>(pdpa_params, PdpaMlParams{});
   PdpaPolicy* policy_ptr = policy.get();
-  ResourceManager rm(rm_params, std::move(policy), &sim, nullptr, Rng(3));
+  ResourceManager rm(rm_params, std::move(policy), &sim, Rng(3));
   rm.Start();
   rm.StartJob(0, profile, profile.default_request, 0);
 
@@ -204,7 +205,7 @@ TEST(RmChaosTest, NeverOvercommitsAndAlwaysCompletes) {
   ResourceManager::Params rm_params;
   rm_params.num_cpus = 32;
   rm_params.analyzer.noise_sigma = 0.05;
-  ResourceManager rm(rm_params, std::make_unique<ChaosPolicy>(Rng(77)), &sim, nullptr, Rng(5));
+  ResourceManager rm(rm_params, std::make_unique<ChaosPolicy>(Rng(77)), &sim, Rng(5));
   std::vector<JobId> finished;
   rm.set_job_finish_callback([&](JobId job, SimTime) { finished.push_back(job); });
   rm.Start();

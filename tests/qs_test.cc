@@ -156,7 +156,7 @@ ResourceManager::Params SmallRmParams() {
 
 TEST(QueuingSystemTest, FcfsWithFixedMl) {
   Simulation sim;
-  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(2), &sim, nullptr, Rng(1));
+  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(2), &sim, Rng(1));
   // Three jobs submitted at once; ML=2 means the third must wait.
   std::vector<JobSpec> specs;
   for (int i = 0; i < 3; ++i) {
@@ -196,7 +196,7 @@ TEST(QueuingSystemTest, FcfsWithFixedMl) {
 
 TEST(QueuingSystemTest, OutcomesCarryTimes) {
   Simulation sim;
-  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   JobSpec spec;
   spec.id = 0;
   spec.app_class = AppClass::kApsi;
@@ -217,7 +217,7 @@ TEST(QueuingSystemTest, OutcomesCarryTimes) {
 
 TEST(QueuingSystemTest, ShortestDemandFirstReordersQueue) {
   Simulation sim;
-  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(1), &sim, nullptr, Rng(1));
+  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(1), &sim, Rng(1));
   // Submit a long bt first and a short apsi second, both queued behind a
   // running job. With SJF ordering the apsi must start before the bt.
   std::vector<JobSpec> specs;
@@ -257,7 +257,7 @@ TEST(QueuingSystemTest, ShortestDemandFirstReordersQueue) {
 
 TEST(QueuingSystemTest, MlTimelineRecordsStartsAndFinishes) {
   Simulation sim;
-  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(SmallRmParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   std::vector<JobSpec> specs;
   for (int i = 0; i < 2; ++i) {
     JobSpec spec;

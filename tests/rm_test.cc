@@ -42,7 +42,7 @@ ResourceManager::Params FastParams() {
 
 TEST(ResourceManagerTest, StartRunFinishUnderEquipartition) {
   Simulation sim;
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   std::vector<JobId> finished;
   rm.set_job_finish_callback([&](JobId job, SimTime) { finished.push_back(job); });
   rm.Start();
@@ -58,7 +58,7 @@ TEST(ResourceManagerTest, StartRunFinishUnderEquipartition) {
 
 TEST(ResourceManagerTest, EquipartitionRepartitionsOnSecondArrival) {
   Simulation sim;
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   rm.Start();
   rm.StartJob(0, FastLinearProfile(40.0, 40), 16, 0);
   EXPECT_EQ(rm.AllocationOf(0), 16);
@@ -81,7 +81,7 @@ TEST(ResourceManagerTest, PdpaShrinksUnscalableJob) {
   profile.baseline_procs = 1;
 
   ResourceManager rm(FastParams(), std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{}),
-                     &sim, nullptr, Rng(1));
+                     &sim, Rng(1));
   rm.Start();
   rm.StartJob(0, profile, 16, 0);
   EXPECT_EQ(rm.AllocationOf(0), 16);
@@ -93,7 +93,7 @@ TEST(ResourceManagerTest, PdpaShrinksUnscalableJob) {
 TEST(ResourceManagerTest, PdpaGrowsEfficientJobIntoFreePool) {
   Simulation sim;
   ResourceManager rm(FastParams(), std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{}),
-                     &sim, nullptr, Rng(1));
+                     &sim, Rng(1));
   rm.Start();
   // Request 16 but only 4 free at start (simulated by a squatter job).
   rm.StartJob(9, FastLinearProfile(400.0, 100), 12, 0);
@@ -110,7 +110,7 @@ TEST(ResourceManagerTest, PdpaGrowsEfficientJobIntoFreePool) {
 
 TEST(ResourceManagerTest, AllocIntegralAccumulates) {
   Simulation sim;
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   rm.Start();
   rm.StartJob(0, FastLinearProfile(), 8, 0);
   sim.RunUntil(60 * kSecond);
@@ -122,9 +122,9 @@ TEST(ResourceManagerTest, AllocIntegralAccumulates) {
 }
 
 TEST(ResourceManagerTest, TraceReceivesHandoffs) {
-  Simulation sim;
   TraceRecorder trace(16);
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, &trace, Rng(1));
+  Simulation sim(Simulation::Sinks{.trace = &trace});
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   rm.Start();
   rm.StartJob(0, FastLinearProfile(), 8, 0);
   sim.RunUntil(30 * kSecond);
@@ -138,7 +138,7 @@ TEST(ResourceManagerTest, IrixTimeSharingRunsJobsWithoutPartitions) {
   Simulation sim;
   ResourceManager rm(FastParams(),
                      std::make_unique<IrixTimeShare>(IrixTimeShare::Params{}, Rng(7)), &sim,
-                     nullptr, Rng(1));
+                     Rng(1));
   std::vector<JobId> finished;
   rm.set_job_finish_callback([&](JobId job, SimTime) { finished.push_back(job); });
   rm.Start();
@@ -150,7 +150,7 @@ TEST(ResourceManagerTest, IrixTimeSharingRunsJobsWithoutPartitions) {
 
 TEST(ResourceManagerTest, CanStartJobFollowsPolicyAdmission) {
   Simulation sim;
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(2), &sim, nullptr, Rng(1));
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(2), &sim, Rng(1));
   rm.Start();
   EXPECT_TRUE(rm.CanStartJob());
   rm.StartJob(0, FastLinearProfile(100.0, 50), 8, 0);
@@ -167,7 +167,7 @@ TEST(ResourceManagerTest, ManySimultaneousCompletionsInOneTick) {
   Simulation sim;
   ResourceManager::Params params = FastParams();
   params.num_cpus = 32;
-  ResourceManager rm(params, std::make_unique<Equipartition>(16), &sim, nullptr, Rng(1));
+  ResourceManager rm(params, std::make_unique<Equipartition>(16), &sim, Rng(1));
   std::vector<std::pair<JobId, SimTime>> finished;
   rm.set_job_finish_callback(
       [&](JobId job, SimTime when) { finished.emplace_back(job, when); });
@@ -284,14 +284,10 @@ void RunBoundTrial(const BoundCase& c, std::uint64_t seed, BoundTally* tally) {
   params.analyzer.baseline_iterations = c.baseline_iterations;
   params.exact_ticks = c.exact_ticks;
   params.boundary_batch = true;
-  Simulation sim;
   std::ostringstream sink;
   EventLog log(&sink);
-  ResourceManager rm(params, MakeBoundPolicy(c.policy, cpus), &sim, nullptr, rng.Fork());
-  if (c.capture) {
-    rm.set_event_log(&log);
-    rm.policy().set_event_log(&log);
-  }
+  Simulation sim(Simulation::Sinks{.event_log = c.capture ? &log : nullptr});
+  ResourceManager rm(params, MakeBoundPolicy(c.policy, cpus), &sim, rng.Fork());
   bool visible = false;
   bool finished = false;
   bool admit = false;
@@ -458,9 +454,8 @@ TEST(ResourceManagerTest, ReusedSlotMatchesFreshConstruction) {
 
     // One job at a time through one resource manager: every job lands in
     // slot 0.
-    Registry registry;
-    Simulation sim(&registry);
-    ResourceManager rm(params, std::make_unique<Equipartition>(4), &sim, nullptr, Rng(kSeed));
+    Simulation sim;
+    ResourceManager rm(params, std::make_unique<Equipartition>(4), &sim, Rng(kSeed));
     std::vector<SimTime> start(kJobs);
     std::vector<SimTime> finish(kJobs, -1);
     rm.set_job_finish_callback(
@@ -484,15 +479,13 @@ TEST(ResourceManagerTest, ReusedSlotMatchesFreshConstruction) {
     for (int i = 0; i < kJobs; ++i) {
       const Job& job = jobs[static_cast<std::size_t>(i)];
       const SimTime at = start[static_cast<std::size_t>(i)];
-      Registry solo_registry;
-      Simulation solo_sim(&solo_registry);
+      Simulation solo_sim;
       solo_sim.AdvanceTo(at);
       Rng solo_rng(kSeed);
       for (int k = 0; k < i; ++k) {
         solo_rng.NextU64();  // the forks of the jobs before this one
       }
-      ResourceManager solo(params, std::make_unique<Equipartition>(4), &solo_sim, nullptr,
-                           solo_rng);
+      ResourceManager solo(params, std::make_unique<Equipartition>(4), &solo_sim, solo_rng);
       SimTime solo_finish = -1;
       solo.set_job_finish_callback([&](JobId, SimTime t) { solo_finish = t; });
       solo.Start();
@@ -522,9 +515,9 @@ TEST(ResourceManagerTest, AnalyzerCountersAppearWithTheFirstJob) {
     }
     return false;
   };
-  Registry registry;
-  Simulation sim(&registry);
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  Simulation sim;
+  Registry& registry = sim.registry();
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   rm.Start();
   sim.RunUntil(kSecond);
   EXPECT_FALSE(has_analyzer_counters(registry));
@@ -537,9 +530,29 @@ TEST(ResourceManagerTest, AnalyzerCountersAppearWithTheFirstJob) {
   EXPECT_GT(registry.counter("analyzer.reports")->value(), 0);
 }
 
+// Two bare stacks in one process: each simulation's registry holds only the
+// work of its own run, so the second run does not add to the first's counts.
+TEST(ResourceManagerTest, BareSimulationsSeeOnlyTheirOwnCounters) {
+  Simulation first;
+  Simulation second;
+  for (Simulation* sim : {&first, &second}) {
+    ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), sim, Rng(1));
+    rm.Start();
+    rm.StartJob(0, FastLinearProfile(), 8, sim->now());
+    sim->RunUntil(60 * kSecond);
+    EXPECT_EQ(rm.running_jobs(), 0);
+    rm.Stop();
+  }
+  for (const char* name : {"analyzer.reports", "sim.events_dispatched"}) {
+    EXPECT_GT(first.registry().counter(name)->value(), 0) << name;
+    EXPECT_EQ(second.registry().counter(name)->value(), first.registry().counter(name)->value())
+        << name;
+  }
+}
+
 TEST(ResourceManagerDeathTest, DuplicateJobIdAborts) {
   Simulation sim;
-  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, nullptr, Rng(1));
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
   rm.Start();
   rm.StartJob(0, FastLinearProfile(), 8, 0);
   EXPECT_DEATH(rm.StartJob(0, FastLinearProfile(), 8, 0), "");

@@ -51,7 +51,8 @@ void RunTicks(Application& app, SimTime start, SimTime end, SimDuration dt = 20 
 
 TEST(SelfAnalyzerTest, BaselinePhaseForcesFewProcs) {
   Application app(1, LinearProfile(), NoCosts());
-  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1), AnalyzerCounters::Bind(registry));
   app.set_observer(&analyzer);
   app.SetAllocation(16, 0);
   analyzer.OnJobStart(0);
@@ -69,7 +70,8 @@ TEST(SelfAnalyzerTest, BaselinePhaseForcesFewProcs) {
 
 TEST(SelfAnalyzerTest, ReportsAccurateSpeedupWithoutNoise) {
   Application app(1, LinearProfile(), NoCosts());
-  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   analyzer.set_report_sink(&reports);
   app.set_observer(&analyzer);
@@ -89,7 +91,8 @@ TEST(SelfAnalyzerTest, AmdahlFactorScalesEstimate) {
   Application app(1, LinearProfile(), NoCosts());
   SelfAnalyzerParams params = NoiselessParams();
   params.amdahl_factor = 0.9;
-  SelfAnalyzer analyzer(&app, params, Rng(1));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, params, Rng(1), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   analyzer.set_report_sink(&reports);
   app.set_observer(&analyzer);
@@ -104,7 +107,8 @@ TEST(SelfAnalyzerTest, AmdahlFactorScalesEstimate) {
 
 TEST(SelfAnalyzerTest, TaintedIterationsProduceNoReport) {
   Application app(1, LinearProfile(), NoCosts());
-  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, NoiselessParams(), Rng(1), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   analyzer.set_report_sink(&reports);
   app.set_observer(&analyzer);
@@ -130,7 +134,8 @@ TEST(SelfAnalyzerTest, NoiseStaysWithinBounds) {
   Application app(1, LinearProfile(), NoCosts());
   SelfAnalyzerParams params = NoiselessParams();
   params.noise_sigma = 0.05;
-  SelfAnalyzer analyzer(&app, params, Rng(99));
+  Registry registry;
+  SelfAnalyzer analyzer(&app, params, Rng(99), AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   analyzer.set_report_sink(&reports);
   app.set_observer(&analyzer);
@@ -147,7 +152,9 @@ TEST(SelfAnalyzerTest, NoiseStaysWithinBounds) {
 
 TEST(NthLibBindingTest, WiresAppAnalyzerAndReports) {
   auto app = std::make_unique<Application>(7, LinearProfile(), NoCosts());
-  NthLibBinding binding(std::move(app), NoiselessParams(), Rng(3));
+  Registry registry;
+  NthLibBinding binding(std::move(app), NoiselessParams(), Rng(3),
+                        AnalyzerCounters::Bind(registry));
   std::vector<PerfReport> reports;
   binding.set_report_sink(&reports);
   binding.SetProcessors(16, 0);
@@ -482,6 +489,7 @@ TEST(NthLibBindingTest, ResetEqualsFreshConstruction) {
   params.measure_iterations = 2;
   // Slot 0 hosts the resident binding, slot 1 a fresh one per job.
   HotStateArena arena;
+  Registry registry;
   std::unique_ptr<NthLibBinding> resident;
   std::vector<PerfReport> resident_reports;
   int reporting_jobs = 0;
@@ -491,7 +499,8 @@ TEST(NthLibBindingTest, ResetEqualsFreshConstruction) {
     const Rng noise = rng.Fork();
     if (resident == nullptr) {
       resident = std::make_unique<NthLibBinding>(
-          std::make_unique<Application>(job, profile, costs, &arena, 0), params, noise);
+          std::make_unique<Application>(job, profile, costs, &arena, 0), params, noise,
+          AnalyzerCounters::Bind(registry));
       resident->set_report_sink(&resident_reports);
     } else {
       // The previous tenant is left wherever the last job stopped: finished,
@@ -499,7 +508,7 @@ TEST(NthLibBindingTest, ResetEqualsFreshConstruction) {
       resident->Reset(job, profile, noise);
     }
     NthLibBinding fresh(std::make_unique<Application>(job, profile, costs, &arena, 1), params,
-                        noise);
+                        noise, AnalyzerCounters::Bind(registry));
     std::vector<PerfReport> fresh_reports;
     fresh.set_report_sink(&fresh_reports);
     resident_reports.clear();

@@ -177,8 +177,8 @@ TEST(SweepEngineTest, ProgressCallbackFiresOncePerCell) {
 }
 
 // Regression for the old --counters behavior, which dumped one cumulative
-// Registry::Default() snapshot for the whole grid: every sweep cell must
-// report exactly the counters of an isolated single run.
+// process-wide snapshot for the whole grid: every sweep cell must report
+// exactly the counters of an isolated single run.
 TEST(SweepEngineTest, PerCellCountersMatchIsolatedRuns) {
   const SweepGrid grid = SmallGrid();
   SweepOptions options;
@@ -187,19 +187,17 @@ TEST(SweepEngineTest, PerCellCountersMatchIsolatedRuns) {
   const std::vector<SweepCellResult> results = RunSweep(grid, options);
   ASSERT_EQ(results.size(), 4u);
   for (const SweepCellResult& r : results) {
-    Registry registry;
-    ExperimentConfig config = r.cell.config;
-    config.registry = &registry;
-    RunExperiment(config);
-    EXPECT_EQ(r.counters.ToString(), registry.Snapshot().ToString()) << r.cell.name;
+    EXPECT_EQ(r.counters.ToString(), RunExperiment(r.cell.config).counters.ToString())
+        << r.cell.name;
     // And the cells genuinely differ from each other (not one shared dump).
     EXPECT_FALSE(r.counters.counters.empty());
   }
   EXPECT_NE(results[0].counters.ToString(), results[2].counters.ToString());
 }
 
-// Two RunExperiment calls racing on separate registries — the exact pattern
-// the worker pool relies on. Run under TSan this is the data-race oracle.
+// Two RunExperiment calls racing, each on the registry its own Simulation
+// owns, with no registry plumbing at all — the exact pattern the worker pool
+// relies on. Run under TSan this is the data-race oracle.
 TEST(SweepEngineTest, ConcurrentRunsWithSeparateRegistriesMatchSerial) {
   ExperimentConfig base;
   base.workload = WorkloadId::kW1;
@@ -212,37 +210,21 @@ TEST(SweepEngineTest, ConcurrentRunsWithSeparateRegistriesMatchSerial) {
   config_b.seed = 43;
 
   ExperimentResult concurrent_a, concurrent_b;
-  std::string counters_a, counters_b;
-  std::thread thread_a([&] {
-    Registry registry;
-    ExperimentConfig config = config_a;
-    config.registry = &registry;
-    concurrent_a = RunExperiment(config);
-    counters_a = registry.Snapshot().ToString();
-  });
-  std::thread thread_b([&] {
-    Registry registry;
-    ExperimentConfig config = config_b;
-    config.registry = &registry;
-    concurrent_b = RunExperiment(config);
-    counters_b = registry.Snapshot().ToString();
-  });
+  std::thread thread_a([&] { concurrent_a = RunExperiment(config_a); });
+  std::thread thread_b([&] { concurrent_b = RunExperiment(config_b); });
   thread_a.join();
   thread_b.join();
 
-  Registry registry_a;
-  config_a.registry = &registry_a;
   const ExperimentResult serial_a = RunExperiment(config_a);
-  Registry registry_b;
-  config_b.registry = &registry_b;
   const ExperimentResult serial_b = RunExperiment(config_b);
 
   EXPECT_EQ(concurrent_a.metrics.makespan_s, serial_a.metrics.makespan_s);
   EXPECT_EQ(concurrent_b.metrics.makespan_s, serial_b.metrics.makespan_s);
   EXPECT_EQ(concurrent_a.reallocations, serial_a.reallocations);
   EXPECT_EQ(concurrent_b.reallocations, serial_b.reallocations);
-  EXPECT_EQ(counters_a, registry_a.Snapshot().ToString());
-  EXPECT_EQ(counters_b, registry_b.Snapshot().ToString());
+  EXPECT_FALSE(serial_a.counters.counters.empty());
+  EXPECT_EQ(concurrent_a.counters.ToString(), serial_a.counters.ToString());
+  EXPECT_EQ(concurrent_b.counters.ToString(), serial_b.counters.ToString());
 }
 
 TEST(AggregateSeedsTest, MeanAndPercentilesAcrossReplicas) {

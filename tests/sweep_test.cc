@@ -19,7 +19,9 @@ long long MigrationsWithBonus(SimDuration bonus) {
   IrixTimeShare::Params params;
   params.affinity_bonus = bonus;
   params.omp_dynamic = false;  // keep the thread population constant
+  Registry registry;
   IrixTimeShare policy(params, Rng(7));
+  policy.Attach(registry);
   Machine machine(16);
   PolicyContext ctx;
   ctx.total_cpus = 16;
@@ -100,7 +102,8 @@ TEST(MachineSetOwnerTest, DirectOwnershipBypassesPartitioning) {
   machine.SetOwner(1, 7);
   machine.SetOwner(2, 9);
   EXPECT_EQ(machine.CountOf(7), 2);
-  EXPECT_EQ(machine.CpusOf(9).ToVector(), (std::vector<int>{2}));
+  EXPECT_EQ(machine.OwnerOf(2), 9);
+  EXPECT_EQ(machine.CountOf(9), 1);
   EXPECT_EQ(machine.FreeCpus(), 1);
   machine.SetOwner(0, kIdleJob);
   EXPECT_EQ(machine.CountOf(7), 1);
