@@ -244,7 +244,10 @@ void Application::AdvanceTimeShared(SimTime now, SimDuration dt, double effectiv
   }
   const double speed = profile_->speedup->SpeedupAt(std::max(1.0, p)) * overhead_factor;
   Integrate(now, dt, speed, static_cast<int>(std::lround(std::max(1.0, p))));
-  PublishHot(now + dt);
+  // A time-shared job is never steady (its share changes every tick), so it
+  // publishes no elision readiness and no next boundary.
+  h.ready_at[slot_] = kHorizonNever;
+  h.next_boundary[slot_] = kHorizonNever;
 }
 
 bool Application::ElisionReady(SimTime now) const {

@@ -185,7 +185,8 @@ class Application {
   // Advances wall time by `dt` under time sharing (IRIX model): the
   // application held `effective_procs` CPUs on average over the interval and
   // suffered multiplicative `overhead_factor` in (0, 1] from migrations and
-  // contention.
+  // contention. Publishes ready_at and next_boundary as never: a time-shared
+  // job's speed changes every tick, so it is never steady enough to elide.
   void AdvanceTimeShared(SimTime now, SimDuration dt, double effective_procs,
                          double overhead_factor);
 

@@ -1174,9 +1174,11 @@ class ClusterEngine {
       for (auto& node_ptr : nodes_) {
         samplers.push_back(node_ptr->timeseries.get());
       }
-      std::ostringstream csv;
-      WriteClusterTimeSeriesCsv(samplers, csv);
-      result.timeseries_csv = csv.str();
+      // The cursor writer leaves spare capacity; the result keeps an
+      // exact-size copy.
+      std::string csv;
+      WriteClusterTimeSeriesCsv(samplers, &csv);
+      result.timeseries_csv = std::string(csv);
     }
     std::vector<RegistrySnapshot> parts;
     parts.reserve(nodes_.size() + 1);

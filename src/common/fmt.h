@@ -55,6 +55,15 @@ void AppendFixed(std::string* out, double value, int precision);
 // exactly AppendFixed(out, TimeToSeconds(micros), 6).
 void AppendMicrosAsSeconds(std::string* out, SimTime micros);
 
+// Raw-cursor forms of AppendInt, AppendGeneral and AppendMicrosAsSeconds,
+// for writers that format straight into a sized buffer: each writes the
+// same bytes at `out` and returns the end. The caller guarantees
+// kMaxFormattedChars bytes of room at `out`.
+inline constexpr int kMaxFormattedChars = 32;
+char* FormatInt(char* out, long long value);
+char* FormatGeneral(char* out, double value, int precision = 10);
+char* FormatMicrosAsSeconds(char* out, SimTime micros);
+
 }  // namespace pdpa
 
 #endif  // SRC_COMMON_FMT_H_

@@ -94,7 +94,7 @@ namespace pdpa {
 class FatalLine {
  public:
   FatalLine(const char* file, int line, const char* condition);
-  ~FatalLine();  // Aborts the process.
+  [[noreturn]] ~FatalLine();  // Aborts the process.
 
   FatalLine(const FatalLine&) = delete;
   FatalLine& operator=(const FatalLine&) = delete;

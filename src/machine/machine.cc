@@ -8,7 +8,6 @@ namespace pdpa {
 
 Machine::Machine(int usable_cpus) : num_cpus_(usable_cpus), free_cpus_(usable_cpus) {
   PDPA_CHECK_GT(usable_cpus, 0);
-  PDPA_CHECK_LE(usable_cpus, kMaxCpus);
   owner_.assign(static_cast<std::size_t>(usable_cpus), kIdleJob);
 }
 

@@ -16,9 +16,6 @@
 
 namespace pdpa {
 
-// Upper bound on machine size; the paper's Origin 2000 has 64 CPUs.
-inline constexpr int kMaxCpus = 128;
-
 // One concrete reassignment performed by ApplyAllocation: CPU `cpu` moved
 // from job `from` to job `to` (either may be kIdleJob).
 struct CpuHandoff {

@@ -1,11 +1,13 @@
 #include "src/obs/timeseries.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
+#include <string_view>
 
-#include "src/common/bufwriter.h"
 #include "src/common/fmt.h"
 #include "src/common/strings.h"
 
@@ -17,70 +19,143 @@ constexpr char kCsvHeader[] =
     "kind,t_s,t_end_s,job,alloc,speedup,efficiency,state,free_cpus,running,queued,"
     "utilization\n";
 
-// An app row's speedup and efficiency repeat the job's latest measurement
-// in every window until its next report, and their %.10g formatting is most
-// of a row's cost. This keeps the formatted pair per recent job and reuses it
-// while both values are bitwise unchanged, so -0.0 and NaN print exactly as
-// the formatter prints them.
-class MeasurementText {
+char* Put(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+
+// Top bits of a multiplicative hash: quantum-spaced timestamps and
+// utilization bit patterns spread over the slots instead of sharing low bits.
+std::size_t HashSlot(std::uint64_t bits) {
+  return static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ull) >> 56);
+}
+
+// Formatted field texts, direct-mapped by slot and reused while the values
+// they print are bitwise unchanged (key words a, b), so -0.0 and NaN print
+// exactly as the formatter prints them.
+template <std::size_t kSlots, std::size_t kTextBytes>
+class TextCache {
  public:
-  // Appends ",<speedup>,<efficiency>" of `p`.
-  void Append(std::string* row, const TimeSeriesSampler::AppPoint& p) {
-    const auto speedup_bits = std::bit_cast<std::uint64_t>(p.speedup);
-    const auto efficiency_bits = std::bit_cast<std::uint64_t>(p.efficiency);
-    // Direct-mapped by JobId: a node runs only a few jobs at once.
-    Entry& entry = entries_[static_cast<std::size_t>(p.job) % entries_.size()];
-    if (!entry.filled || entry.speedup_bits != speedup_bits ||
-        entry.efficiency_bits != efficiency_bits) {
+  // Writes at p the text of the key (a, b), calling format(char*) -> end to
+  // fill the slot on a miss, and returns the text's end. The whole
+  // fixed-width slot is copied, so kTextBytes of room must follow p.
+  template <typename Format>
+  char* Put(char* p, std::size_t slot, std::uint64_t a, std::uint64_t b, Format format) {
+    Entry& entry = entries_[slot % kSlots];
+    if (!entry.filled || entry.a != a || entry.b != b) {
       entry.filled = true;
-      entry.speedup_bits = speedup_bits;
-      entry.efficiency_bits = efficiency_bits;
-      entry.text.assign(1, ',');
-      AppendGeneral(&entry.text, p.speedup, 10);
-      entry.text.push_back(',');
-      AppendGeneral(&entry.text, p.efficiency, 10);
+      entry.a = a;
+      entry.b = b;
+      entry.length = static_cast<std::uint8_t>(format(entry.text) - entry.text);
     }
-    row->append(entry.text);
+    std::memcpy(p, entry.text, kTextBytes);
+    return p + entry.length;
   }
 
  private:
   struct Entry {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
     bool filled = false;
-    std::uint64_t speedup_bits = 0;
-    std::uint64_t efficiency_bits = 0;
-    std::string text;
+    std::uint8_t length = 0;
+    char text[kTextBytes] = {};
   };
-  std::array<Entry, 64> entries_;
+  std::array<Entry, kSlots> entries_{};
 };
 
-void AppendAppRow(std::string* row, const TimeSeriesSampler::AppPoint& p,
-                  MeasurementText* measurements) {
-  row->append("app,");
-  AppendMicrosAsSeconds(row, p.t_start);
-  row->push_back(',');
-  AppendMicrosAsSeconds(row, p.t_end);
-  row->push_back(',');
-  AppendInt(row, p.job);
-  row->push_back(',');
-  AppendGeneral(row, p.alloc, 10);
-  measurements->Append(row, p);
-  row->push_back(',');
-  row->append(p.state);
-  row->append(",,,,\n");
-}
+// Room one row needs past its state name: its longest field texts (each
+// Format* call stays within kMaxFormattedChars), separators, a node column,
+// and the fixed-width copies of cache slots.
+constexpr std::size_t kRowRoom = 256;
 
-void AppendMachineRow(std::string* row, const TimeSeriesSampler::MachinePoint& p) {
-  row->append("machine,");
-  AppendMicrosAsSeconds(row, p.t);
-  row->append(",,,,,,,");
-  AppendInt(row, p.free_cpus);
-  row->push_back(',');
-  AppendInt(row, p.running);
-  row->push_back(',');
-  AppendInt(row, p.queued);
-  row->push_back(',');
-  AppendGeneral(row, p.utilization, 10);
-  row->push_back('\n');
+// Formats app and machine rows at a raw cursor. All rows of one sample
+// instant share their timestamps, and utilization takes at most ncpus + 1
+// values, so both are formatted once and then copied. An app row's speedup
+// and efficiency repeat the job's latest measurement in every window until
+// its next report, so the formatted pair is kept per recent job.
+class RowFormatter {
+ public:
+  char* App(char* p, const TimeSeriesSampler::AppPoint& point) {
+    p = Put(p, "app,");
+    p = Time(p, point.t_start);
+    *p++ = ',';
+    p = Time(p, point.t_end);
+    *p++ = ',';
+    p = FormatInt(p, point.job);
+    *p++ = ',';
+    p = FormatGeneral(p, point.alloc);
+    // Direct-mapped by JobId: a node runs only a few jobs at once.
+    p = measurements_.Put(p, static_cast<std::size_t>(point.job),
+                          std::bit_cast<std::uint64_t>(point.speedup),
+                          std::bit_cast<std::uint64_t>(point.efficiency), [&point](char* q) {
+                            *q++ = ',';
+                            q = FormatGeneral(q, point.speedup);
+                            *q++ = ',';
+                            return FormatGeneral(q, point.efficiency);
+                          });
+    *p++ = ',';
+    p = Put(p, point.state);
+    return Put(p, ",,,,\n");
+  }
+
+  char* Machine(char* p, const TimeSeriesSampler::MachinePoint& point) {
+    p = Put(p, "machine,");
+    p = Time(p, point.t);
+    p = Put(p, ",,,,,,,");
+    p = FormatInt(p, point.free_cpus);
+    *p++ = ',';
+    p = FormatInt(p, point.running);
+    *p++ = ',';
+    p = FormatInt(p, point.queued);
+    *p++ = ',';
+    const auto bits = std::bit_cast<std::uint64_t>(point.utilization);
+    p = utilizations_.Put(p, HashSlot(bits), bits, 0, [&point](char* q) {
+      return FormatGeneral(q, point.utilization);
+    });
+    *p++ = '\n';
+    return p;
+  }
+
+ private:
+  char* Time(char* p, SimTime t) {
+    const auto bits = static_cast<std::uint64_t>(t);
+    return times_.Put(p, HashSlot(bits), bits, 0,
+                      [t](char* q) { return FormatMicrosAsSeconds(q, t); });
+  }
+
+  TextCache<64, kMaxFormattedChars> times_;
+  TextCache<64, 2 * kMaxFormattedChars> measurements_;
+  TextCache<256, kMaxFormattedChars> utilizations_;
+};
+
+// Appends to a std::string through a raw cursor. The string is resized
+// ahead of the cursor, never only reserved, so every byte written lies
+// below size() where sanitizers see it; Finish trims the unwritten tail.
+class StringCursor {
+ public:
+  explicit StringCursor(std::string* out) : out_(out), end_(out->size()) {}
+
+  // The cursor, with at least `room` bytes below size().
+  char* Room(std::size_t room) {
+    if (out_->size() - end_ < room) {
+      out_->resize(std::max({out_->capacity(), 2 * out_->size(), end_ + room}));
+    }
+    return out_->data() + end_;
+  }
+  void Advance(const char* end) { end_ = static_cast<std::size_t>(end - out_->data()); }
+  void Finish() { out_->resize(end_); }
+
+ private:
+  std::string* out_;
+  std::size_t end_;
+};
+
+// WriteCsv's row order: an app window ends before or at the machine sample
+// it precedes (app windows before the machine sample taken at the same
+// instant).
+bool TakeApp(const TimeSeriesSampler& series, std::size_t a, std::size_t m) {
+  return m >= series.machine().size() ||
+         (a < series.apps().size() && series.apps()[a].t_end <= series.machine()[m].t);
 }
 
 }  // namespace
@@ -93,29 +168,23 @@ std::map<JobId, double> TimeSeriesSampler::AllocIntegralUs() const {
   return integral;
 }
 
-void TimeSeriesSampler::WriteCsv(std::ostream& out) const {
-  BufWriter writer(&out);
-  writer.Append(kCsvHeader);
+void TimeSeriesSampler::WriteCsv(std::string* out) const {
+  out->append(kCsvHeader);
   // Both vectors are appended in simulation order; merge by timestamp so the
-  // CSV reads chronologically (app windows before the machine sample taken
-  // at the same instant).
-  std::string row;
-  row.reserve(160);
-  MeasurementText measurements;
+  // CSV reads chronologically.
+  StringCursor csv(out);
+  RowFormatter rows;
   std::size_t a = 0;
   std::size_t m = 0;
   while (a < apps_.size() || m < machine_.size()) {
-    const bool take_app =
-        m >= machine_.size() || (a < apps_.size() && apps_[a].t_end <= machine_[m].t);
-    row.clear();
-    if (take_app) {
-      AppendAppRow(&row, apps_[a++], &measurements);
+    if (TakeApp(*this, a, m)) {
+      const AppPoint& point = apps_[a++];
+      csv.Advance(rows.App(csv.Room(kRowRoom + point.state.size()), point));
     } else {
-      AppendMachineRow(&row, machine_[m++]);
+      csv.Advance(rows.Machine(csv.Room(kRowRoom), machine_[m++]));
     }
-    writer.Append(row);
   }
-  writer.Flush();
+  csv.Finish();
 }
 
 void TimeSeriesSampler::Clear() {
@@ -124,10 +193,9 @@ void TimeSeriesSampler::Clear() {
 }
 
 void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& nodes,
-                               std::ostream& out) {
-  BufWriter writer(&out);
-  writer.Append("node,");
-  writer.Append(kCsvHeader);
+                               std::string* out) {
+  out->append("node,");
+  out->append(kCsvHeader);
   // Per-node cursors replay each sampler with WriteCsv's own take-app rule,
   // so the row sequence within one node matches its single-machine CSV
   // exactly; across nodes the earliest key time wins, ties to the lowest
@@ -137,27 +205,20 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
     std::size_t m = 0;
   };
   std::vector<Cursor> cursors(nodes.size());
-  const auto key_time = [&](std::size_t k, bool* take_app) -> SimTime {
-    const TimeSeriesSampler& s = *nodes[k];
-    const Cursor& c = cursors[k];
-    *take_app = c.m >= s.machine().size() ||
-                (c.a < s.apps().size() && s.apps()[c.a].t_end <= s.machine()[c.m].t);
-    return *take_app ? s.apps()[c.a].t_end : s.machine()[c.m].t;
-  };
-  std::string row;
-  row.reserve(160);
-  MeasurementText measurements;
+  StringCursor csv(out);
+  RowFormatter rows;
   while (true) {
     std::size_t best = nodes.size();
     SimTime best_t = 0;
     bool best_app = false;
     for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const TimeSeriesSampler& s = *nodes[k];
       const Cursor& c = cursors[k];
-      if (c.a >= nodes[k]->apps().size() && c.m >= nodes[k]->machine().size()) {
+      if (c.a >= s.apps().size() && c.m >= s.machine().size()) {
         continue;
       }
-      bool take_app = false;
-      const SimTime t = key_time(k, &take_app);
+      const bool take_app = TakeApp(s, c.a, c.m);
+      const SimTime t = take_app ? s.apps()[c.a].t_end : s.machine()[c.m].t;
       if (best == nodes.size() || t < best_t) {
         best = k;
         best_t = t;
@@ -167,18 +228,14 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
     if (best == nodes.size()) {
       break;
     }
-    row.clear();
-    AppendInt(&row, static_cast<int>(best));
-    row.push_back(',');
+    const TimeSeriesSampler& s = *nodes[best];
     Cursor& c = cursors[best];
-    if (best_app) {
-      AppendAppRow(&row, nodes[best]->apps()[c.a++], &measurements);
-    } else {
-      AppendMachineRow(&row, nodes[best]->machine()[c.m++]);
-    }
-    writer.Append(row);
+    const std::size_t state_size = best_app ? s.apps()[c.a].state.size() : 0;
+    char* p = FormatInt(csv.Room(kRowRoom + state_size), static_cast<long long>(best));
+    *p++ = ',';
+    csv.Advance(best_app ? rows.App(p, s.apps()[c.a++]) : rows.Machine(p, s.machine()[c.m++]));
   }
-  writer.Flush();
+  csv.Finish();
 }
 
 namespace internal {

@@ -66,9 +66,11 @@ class TimeSeriesSampler {
   // comparable with ResourceManager::alloc_integral_us().
   std::map<JobId, double> AllocIntegralUs() const;
 
-  // Long-format CSV, one row per point, app and machine rows interleaved in
-  // recording order under a shared header.
-  void WriteCsv(std::ostream& out) const;
+  // Appends the long-format CSV to *out: one row per point, app and machine
+  // rows interleaved in recording order under a shared header. Rows are
+  // formatted straight into the string, which may keep spare capacity: a
+  // caller that holds the result copies it out of a reused buffer.
+  void WriteCsv(std::string* out) const;
 
   void Clear();
 
@@ -90,9 +92,10 @@ class TimeSeriesSampler {
 // windows, t for machine samples), ties resolved by node index and, within
 // one node, by the same recording-order rule WriteCsv uses. Row bytes after
 // the node column are identical to WriteCsv's, so a 1-node cluster CSV is
-// the single-machine CSV with "0," prefixed to every data row.
+// the single-machine CSV with "0," prefixed to every data row. Appends to
+// *out as WriteCsv does.
 void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& nodes,
-                               std::ostream& out);
+                               std::string* out);
 
 namespace internal {
 

@@ -18,23 +18,23 @@ void IrixTimeShare::BindInstruments(Registry& registry) {
 }
 
 AllocationPlan IrixTimeShare::OnJobStart(const PolicyContext& ctx, JobId job) {
+  RestoreCreationOrder();
   for (const PolicyJobInfo& info : ctx.jobs) {
     if (info.id == job) {
       // The SGI-MP library spawns OMP_NUM_THREADS kernel threads up front.
       for (int i = 0; i < info.request; ++i) {
-        threads_.push_back(Thread{job, -1, false, 0.0});
+        AddThread(job);
       }
       break;
     }
   }
-  ResetDispatchOrder();
   return AllocationPlan{};
 }
 
 AllocationPlan IrixTimeShare::OnJobFinish(const PolicyContext& ctx, JobId job) {
   (void)ctx;
+  RestoreCreationOrder();
   std::erase_if(threads_, [job](const Thread& t) { return t.job == job; });
-  ResetDispatchOrder();
   return AllocationPlan{};
 }
 
@@ -77,16 +77,18 @@ void IrixTimeShare::AdjustThreadCounts(const PolicyContext& ctx, int ncpus) {
       }
     } else if (have < want) {
       for (int i = 0; i < std::min(params_.omp_adjust_step, want - have); ++i) {
-        threads_.push_back(Thread{info.id, -1, false, 0.0});
+        AddThread(info.id);
       }
     }
   }
 }
 
-void IrixTimeShare::ResetDispatchOrder() {
-  dispatch_order_.resize(threads_.size());
-  for (std::size_t i = 0; i < dispatch_order_.size(); ++i) {
-    dispatch_order_[i].thread = static_cast<int>(i);
+void IrixTimeShare::RestoreCreationOrder() {
+  std::sort(threads_.begin(), threads_.end(),
+            [](const Thread& a, const Thread& b) { return a.seq < b.seq; });
+  next_seq_ = 0;
+  for (Thread& t : threads_) {
+    t.seq = next_seq_++;
   }
 }
 
@@ -94,81 +96,69 @@ void IrixTimeShare::TimeShareTick(Machine& machine, const PolicyContext& ctx, Si
                                   std::vector<CpuHandoff>* handoffs,
                                   std::vector<TimeShare>* shares) {
   dispatch_ticks_->Increment();
-  shares->assign(ctx.jobs.size(), TimeShare{0.0, 1.0});
+  shares->resize(ctx.jobs.size());  // every entry is set below
   const int ncpus = machine.num_cpus();
   clock_ += dt;
   if (params_.omp_dynamic && clock_ >= next_adjust_) {
+    RestoreCreationOrder();
     AdjustThreadCounts(ctx, ncpus);
-    ResetDispatchOrder();
     next_adjust_ = clock_ + params_.omp_adjust_period;
   }
+  // With no threads at all, every CPU goes idle below.
   const int nthreads = static_cast<int>(threads_.size());
-  if (nthreads == 0) {
-    // No runnable threads: every CPU goes idle.
-    for (int c = 0; c < ncpus; ++c) {
-      const JobId prev_owner = machine.OwnerOf(c);
-      if (prev_owner != kIdleJob) {
-        machine.SetOwner(c, kIdleJob);
-        if (handoffs != nullptr) {
-          handoffs->push_back(CpuHandoff{c, prev_owner, kIdleJob});
+
+  // Dispatch order: lowest effective vruntime first, where a thread that ran
+  // last tick gets an affinity/timeslice bonus; ties go to the older thread.
+  // This is a coarse model of IRIX's priority aging with affinity. threads_
+  // keeps last tick's order, which barely differs from this one's, so an
+  // insertion sort by (key, seq) restores it in near-linear time.
+  const auto before = [](const Thread& a, const Thread& b) {
+    return a.key < b.key || (a.key == b.key && a.seq < b.seq);
+  };
+  Thread* const threads = threads_.data();
+  for (int i = 1; i < nthreads; ++i) {
+    if (!before(threads[i], threads[i - 1])) {
+      continue;
+    }
+    const Thread moved = threads[i];
+    int j = i;
+    for (; j > 0 && before(moved, threads[j - 1]); --j) {
+      threads[j] = threads[j - 1];
+    }
+    threads[j] = moved;
+  }
+
+  const int to_run = std::min(ncpus, nthreads);
+  const std::size_t njobs = ctx.jobs.size();
+  cpu_state_.assign(static_cast<std::size_t>(ncpus), 0);
+  running_count_.assign(njobs, 0);
+  migrations_.assign(njobs, 0);
+  int* const cpu_state = cpu_state_.data();
+  int* const running_count = running_count_.data();
+  int* const migrations = migrations_.data();
+  constexpr int kReclaimed = 1;  // a selected thread last ran here
+  constexpr int kAssigned = 2;   // dispatched this tick
+  // Position of a thread's job in ctx.jobs (-1 if absent), cached on the
+  // thread: the job set rarely changes between ticks.
+  const auto position_of = [&ctx, njobs](Thread& t) {
+    if (static_cast<std::size_t>(t.pos) >= njobs ||
+        ctx.jobs[static_cast<std::size_t>(t.pos)].id != t.job) {
+      t.pos = -1;
+      for (std::size_t k = 0; k < njobs; ++k) {
+        if (ctx.jobs[k].id == t.job) {
+          t.pos = static_cast<int>(k);
+          break;
         }
       }
     }
-    return;
-  }
-
-  // Dispatch order: lowest effective vruntime first, where a thread that ran
-  // last tick gets an affinity/timeslice bonus; ties go to the lower thread
-  // index. This is a coarse model of IRIX's priority aging with affinity.
-  const double bonus_s = TimeToSeconds(params_.affinity_bonus);
-  PDPA_CHECK_EQ(dispatch_order_.size(), threads_.size());
-  for (DispatchSlot& slot : dispatch_order_) {
-    const Thread& t = threads_[static_cast<std::size_t>(slot.thread)];
-    slot.key = t.vruntime_s - (t.running ? bonus_s : 0.0);
-  }
-  for (std::size_t i = 1; i < dispatch_order_.size(); ++i) {
-    const DispatchSlot slot = dispatch_order_[i];
-    std::size_t j = i;
-    for (; j > 0; --j) {
-      const DispatchSlot& prev = dispatch_order_[j - 1];
-      if (!(slot.key < prev.key || (slot.key == prev.key && slot.thread < prev.thread))) {
-        break;
-      }
-      dispatch_order_[j] = prev;
-    }
-    dispatch_order_[j] = slot;
-  }
-
-  // The thread at dispatch position i.
-  const auto thread_at = [this](int i) -> Thread& {
-    return threads_[static_cast<std::size_t>(dispatch_order_[static_cast<std::size_t>(i)].thread)];
-  };
-  const int to_run = std::min(ncpus, nthreads);
-  cpu_taken_.assign(static_cast<std::size_t>(ncpus), 0);
-  cpu_assigned_.assign(static_cast<std::size_t>(ncpus), 0);
-  running_count_.assign(ctx.jobs.size(), 0);
-  migrations_.assign(ctx.jobs.size(), 0);
-  // Position of a thread's job in ctx.jobs (-1 if absent); threads of one
-  // job mostly sit together, so the last hit is checked first.
-  std::size_t last_pos = 0;
-  const auto position_of = [&](JobId job) -> int {
-    if (last_pos < ctx.jobs.size() && ctx.jobs[last_pos].id == job) {
-      return static_cast<int>(last_pos);
-    }
-    for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
-      if (ctx.jobs[k].id == job) {
-        last_pos = k;
-        return static_cast<int>(k);
-      }
-    }
-    return -1;
+    return t.pos;
   };
 
   // Pass 1: selected threads reclaim their previous CPU when possible.
   for (int i = 0; i < to_run; ++i) {
-    const Thread& t = thread_at(i);
-    if (t.last_cpu >= 0 && t.last_cpu < ncpus) {
-      cpu_taken_[static_cast<std::size_t>(t.last_cpu)] = 1;
+    const int last = threads[i].last_cpu;
+    if (last >= 0 && last < ncpus) {
+      cpu_state[last] = kReclaimed;
     }
   }
   // Pass 2: place every selected thread; the ones whose CPU was claimed by
@@ -179,26 +169,23 @@ void IrixTimeShare::TimeShareTick(Machine& machine, const PolicyContext& ctx, Si
   // free CPU only moves up and is tracked by a cursor.
   int free_cursor = 0;
   for (int i = 0; i < to_run; ++i) {
-    Thread& t = thread_at(i);
-    const int pos = position_of(t.job);
+    Thread& t = threads[i];
+    const int pos = position_of(t);
     int cpu = t.last_cpu;
-    if (!(t.last_cpu >= 0 && t.last_cpu < ncpus &&
-          cpu_assigned_[static_cast<std::size_t>(t.last_cpu)] == 0 &&
-          cpu_taken_[static_cast<std::size_t>(t.last_cpu)] != 0)) {
-      while (free_cursor < ncpus && (cpu_taken_[static_cast<std::size_t>(free_cursor)] != 0 ||
-                                     cpu_assigned_[static_cast<std::size_t>(free_cursor)] != 0)) {
+    if (!(cpu >= 0 && cpu < ncpus && cpu_state[cpu] == kReclaimed)) {
+      while (free_cursor < ncpus && cpu_state[free_cursor] != 0) {
         ++free_cursor;
       }
       PDPA_CHECK_LT(free_cursor, ncpus);
       cpu = free_cursor;
       if (t.last_cpu >= 0 && cpu != t.last_cpu) {
         if (pos >= 0) {
-          ++migrations_[static_cast<std::size_t>(pos)];
+          ++migrations[pos];
         }
         ++total_thread_migrations_;
       }
     }
-    cpu_assigned_[static_cast<std::size_t>(cpu)] = 1;
+    cpu_state[cpu] = kAssigned;
     const JobId prev_owner = machine.OwnerOf(cpu);
     if (prev_owner != t.job) {
       machine.SetOwner(cpu, t.job);
@@ -207,25 +194,32 @@ void IrixTimeShare::TimeShareTick(Machine& machine, const PolicyContext& ctx, Si
       }
     }
     t.last_cpu = cpu;
-    t.running = true;
-    // Work imbalance jitter desynchronizes dispatch epochs and sustains the
-    // migration churn observed on the real machine.
-    t.vruntime_s += TimeToSeconds(dt) * (1.0 + rng_.Uniform(-params_.vruntime_jitter,
-                                                            params_.vruntime_jitter));
     if (pos >= 0) {
-      ++running_count_[static_cast<std::size_t>(pos)];
+      ++running_count[pos];
     }
   }
-  // Threads beyond the CPU count wait this tick.
+  // Pass 3: work imbalance jitter desynchronizes dispatch epochs and
+  // sustains the migration churn observed on the real machine. Exactly one
+  // draw per dispatched thread, in dispatch order, from a local copy of the
+  // RNG that stays in registers. Threads beyond the CPU count wait this tick.
+  Rng rng = rng_;
+  const double dt_s = TimeToSeconds(dt);
+  const double jitter = params_.vruntime_jitter;
+  const double bonus_s = TimeToSeconds(params_.affinity_bonus);
+  for (int i = 0; i < to_run; ++i) {
+    threads[i].vruntime_s += dt_s * (1.0 + rng.Uniform(-jitter, jitter));
+    threads[i].key = threads[i].vruntime_s - bonus_s;
+  }
+  rng_ = rng;
   for (int i = to_run; i < nthreads; ++i) {
-    thread_at(i).running = false;
+    threads[i].key = threads[i].vruntime_s;
   }
   // Idle CPUs (fewer threads than CPUs) release their owner. Each of the
   // to_run assigned CPUs now belongs to a job, so when exactly ncpus - to_run
   // CPUs are free, no unassigned CPU has an owner to release.
   if (machine.FreeCpus() != ncpus - to_run) {
     for (int c = 0; c < ncpus; ++c) {
-      if (cpu_assigned_[static_cast<std::size_t>(c)] == 0 && machine.OwnerOf(c) != kIdleJob) {
+      if (cpu_state[c] != kAssigned && machine.OwnerOf(c) != kIdleJob) {
         const JobId prev_owner = machine.OwnerOf(c);
         machine.SetOwner(c, kIdleJob);
         if (handoffs != nullptr) {
@@ -239,13 +233,13 @@ void IrixTimeShare::TimeShareTick(Machine& machine, const PolicyContext& ctx, Si
       static_cast<double>(nthreads) / static_cast<double>(ncpus);
   const double contention =
       1.0 / (1.0 + params_.overcommit_penalty * std::max(0.0, overcommit - 1.0));
-  for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
+  for (std::size_t k = 0; k < njobs; ++k) {
     TimeShare& share = (*shares)[k];
-    const int running = running_count_[k];
+    const int running = running_count[k];
     share.effective_procs = static_cast<double>(running);
     double overhead = contention;
     if (running > 0) {
-      overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migrations_[k]) /
+      overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migrations[k]) /
                                           static_cast<double>(running));
     }
     share.overhead = overhead;

@@ -73,36 +73,36 @@ class IrixTimeShare : public SchedulingPolicy {
   void BindInstruments(Registry& registry) override;
 
  private:
+  // Kernel threads live in threads_ in dispatch order: lowest key first,
+  // ties to the older thread (lower seq).
   struct Thread {
+    // vruntime_s, less the affinity bonus if the thread ran last tick; set
+    // wherever either changes.
+    double key = 0.0;
+    double vruntime_s = 0.0;
+    // Creation sequence number, renumbered densely at each shape change.
+    int seq = 0;
     JobId job = kIdleJob;
     int last_cpu = -1;
-    bool running = false;
-    double vruntime_s = 0.0;
+    // Last position of `job` in ctx.jobs; checked before every use.
+    int pos = -1;
   };
 
+  void AddThread(JobId job) { threads_.push_back(Thread{.seq = next_seq_++, .job = job}); }
   // Slow OMP_DYNAMIC thread-count adaptation toward the fair share.
   void AdjustThreadCounts(const PolicyContext& ctx, int ncpus);
-  // Resets the dispatch permutation to the identity over threads_; called
-  // whenever threads_ changes shape.
-  void ResetDispatchOrder();
+  // Sorts threads_ back into creation order and renumbers seq from 0;
+  // called whenever threads_ changes shape, before any AddThread.
+  void RestoreCreationOrder();
 
   Params params_;
   Rng rng_;
   std::vector<Thread> threads_;
-  // One thread's place in the dispatch order, with its key for this tick.
-  struct DispatchSlot {
-    double key = 0.0;
-    int thread = 0;  // index into threads_
-  };
-  // Dispatch permutation of threads_, kept from one tick to the next: each
-  // tick insertion-sorts it by (key, thread index), which is the order a
-  // stable sort of the identity by key gives, in near-linear time because
-  // one tick's order barely differs from the last.
-  std::vector<DispatchSlot> dispatch_order_;
-  // Per-tick scratch: per CPU (reclaimed / assigned) and per ctx.jobs
-  // position (dispatched threads / migrations).
-  std::vector<char> cpu_taken_;
-  std::vector<char> cpu_assigned_;
+  int next_seq_ = 0;
+  // Per-tick scratch: per CPU (kReclaimed / kAssigned) and per ctx.jobs
+  // position (dispatched threads / migrations). Ints, not chars: a char
+  // store may alias the thread array and the RNG state.
+  std::vector<int> cpu_state_;
   std::vector<int> running_count_;
   std::vector<int> migrations_;
   Counter* dispatch_ticks_ = nullptr;

@@ -44,8 +44,6 @@ struct PolicyJobInfo {
   // Rigid job: the runtime cannot change the process count; allocations
   // below the request fold processes onto shared CPUs.
   bool rigid = false;
-  bool has_report = false;
-  PerfReport last_report;
 };
 
 struct PolicyContext {

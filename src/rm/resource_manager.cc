@@ -258,6 +258,7 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
   }
   slot_of_job_[static_cast<std::size_t>(job)] = slot;
   order_.push_back(slot);
+  share_order_.clear();
   jobs_started_->Increment();
 
   if (policy_->is_time_sharing()) {
@@ -563,6 +564,7 @@ void ResourceManager::CheckCompletions(SimTime now) {
                                   return slots_[static_cast<std::size_t>(slot)].id == kIdleJob;
                                 }),
                  order_.end());
+    share_order_.clear();
     if (on_state_change_) {
       on_state_change_(now);
     }
@@ -860,12 +862,16 @@ void ResourceManager::OnTick(SimTime now) {
       trace_->OnHandoffs(advanced_to_, share_handoffs_);
     }
     // Advance in ascending JobId order: AdvanceTimeShared queues the job's
-    // performance reports, and their order reaches the event log.
-    share_order_.resize(ctx->jobs.size());
-    std::iota(share_order_.begin(), share_order_.end(), 0);
-    std::sort(share_order_.begin(), share_order_.end(), [ctx](int a, int b) {
-      return ctx->jobs[static_cast<std::size_t>(a)].id < ctx->jobs[static_cast<std::size_t>(b)].id;
-    });
+    // performance reports, and their order reaches the event log. Starts and
+    // finishes clear the order, so it is rebuilt only when the job set changes.
+    if (share_order_.size() != ctx->jobs.size()) {
+      share_order_.resize(ctx->jobs.size());
+      std::iota(share_order_.begin(), share_order_.end(), 0);
+      std::sort(share_order_.begin(), share_order_.end(), [ctx](int a, int b) {
+        return ctx->jobs[static_cast<std::size_t>(a)].id <
+               ctx->jobs[static_cast<std::size_t>(b)].id;
+      });
+    }
     for (const int pos : share_order_) {
       const std::size_t k = static_cast<std::size_t>(pos);
       const int slot = SlotOf(ctx->jobs[k].id);

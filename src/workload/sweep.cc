@@ -114,6 +114,9 @@ struct CellScratch {
   std::ostringstream events;
   EventLog event_log{nullptr};
   TimeSeriesSampler timeseries;
+  // The worker's CSV buffer: WriteCsv grows it ahead of its cursor, and
+  // each cell copies out exactly its own bytes.
+  std::string timeseries_csv;
 };
 
 // Runs one cell with its private observability context. `build_prefix`
@@ -193,14 +196,14 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_pref
       scratch->event_log.Flush();  // The log buffers; push bytes out before reading.
       out->events_jsonl = scratch->events.str();
     }
-    if (options.capture_timeseries) {
+    if (options.capture_timeseries && options.legacy_serialization_for_test) {
       std::ostringstream csv;
-      if (options.legacy_serialization_for_test) {
-        internal::WriteTimeSeriesCsvLegacy(scratch->timeseries, csv);
-      } else {
-        scratch->timeseries.WriteCsv(csv);
-      }
+      internal::WriteTimeSeriesCsvLegacy(scratch->timeseries, csv);
       out->timeseries_csv = csv.str();
+    } else if (options.capture_timeseries) {
+      scratch->timeseries_csv.clear();
+      scratch->timeseries.WriteCsv(&scratch->timeseries_csv);
+      out->timeseries_csv = std::string(scratch->timeseries_csv);
     }
   }
   if (options.capture_prof) {

@@ -143,9 +143,7 @@ CapturedRun RunCaptured(const GoldenCase& c, bool exact_ticks) {
   run.result = RunExperiment(config);
   events.Flush();  // The log buffers; push bytes out before reading.
   run.events = events_stream.str();
-  std::ostringstream ts_stream;
-  timeseries.WriteCsv(ts_stream);
-  run.timeseries = ts_stream.str();
+  timeseries.WriteCsv(&run.timeseries);
   for (const CounterSnapshot& counter : run.result.counters.counters) {
     if (counter.name == "rm.ticks") {
       run.ticks = counter.value;

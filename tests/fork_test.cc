@@ -87,9 +87,7 @@ CapturedRun RunCaptured(ExperimentConfig config, bool forked) {
   }
   events.Flush();  // The log buffers; push bytes out before reading.
   run.events = events_stream.str();
-  std::ostringstream ts_stream;
-  timeseries.WriteCsv(ts_stream);
-  run.timeseries = ts_stream.str();
+  timeseries.WriteCsv(&run.timeseries);
   run.counters = std::move(run.result.counters);
   return run;
 }

@@ -2,6 +2,10 @@
 // full stack (QS + RM + runtime + applications).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "src/obs/timeseries.h"
 #include "src/workload/experiment.h"
 
 namespace pdpa {
@@ -26,6 +30,40 @@ TEST(IntegrationTest, AllPoliciesCompleteW1) {
     for (const auto& [app_class, metrics] : result.metrics.per_class) {
       EXPECT_GT(metrics.avg_exec_s, 0.0);
       EXPECT_GE(metrics.avg_response_s, metrics.avg_exec_s - 1e-6);
+    }
+  }
+}
+
+// Machines larger than the paper's 64 CPUs run to completion, and the jobs
+// never hold more CPUs than the machine has: between two machine samples,
+// the windows of the jobs that ran through the whole interval average to at
+// most the machine size.
+TEST(IntegrationTest, TwoHundredCpuRunsKeepAllocationWithinTheMachine) {
+  constexpr int kCpus = 200;
+  for (PolicyKind policy : {PolicyKind::kIrix, PolicyKind::kPdpa}) {
+    ExperimentConfig config = BaseConfig(WorkloadId::kW1, 1.0, policy);
+    config.num_cpus = kCpus;
+    TimeSeriesSampler timeseries;
+    config.timeseries = &timeseries;
+    const ExperimentResult result = RunExperiment(config);
+    EXPECT_TRUE(result.completed) << PolicyKindName(policy);
+    EXPECT_GT(result.metrics.jobs, 0) << PolicyKindName(policy);
+    EXPECT_LE(result.utilization, 1.0 + 1e-9) << PolicyKindName(policy);
+    std::map<std::pair<SimTime, SimTime>, double> full_windows;
+    for (const TimeSeriesSampler::AppPoint& point : timeseries.apps()) {
+      full_windows[{point.t_start, point.t_end}] += point.alloc;
+    }
+    ASSERT_FALSE(timeseries.machine().empty());
+    for (std::size_t i = 0; i < timeseries.machine().size(); ++i) {
+      const TimeSeriesSampler::MachinePoint& sample = timeseries.machine()[i];
+      EXPECT_GE(sample.free_cpus, 0) << PolicyKindName(policy) << " t " << sample.t;
+      EXPECT_LE(sample.free_cpus, kCpus) << PolicyKindName(policy) << " t " << sample.t;
+      if (i > 0) {
+        const auto window = full_windows.find({timeseries.machine()[i - 1].t, sample.t});
+        if (window != full_windows.end()) {
+          EXPECT_LE(window->second, kCpus + 1e-9) << PolicyKindName(policy) << " t " << sample.t;
+        }
+      }
     }
   }
 }

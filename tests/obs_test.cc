@@ -179,9 +179,8 @@ TEST(TimeSeriesTest, CsvHasHeaderAndRows) {
   TimeSeriesSampler sampler;
   sampler.AddApp({0, 1000000, 7, 4.0, 2.5, 0.625, "DEC"});
   sampler.AddMachine({1000000, 10, 3, 2, 0.833});
-  std::ostringstream out;
-  sampler.WriteCsv(out);
-  const std::string csv = out.str();
+  std::string csv;
+  sampler.WriteCsv(&csv);
   EXPECT_NE(csv.find("kind,t_s,t_end_s,job,alloc,speedup,efficiency,state,"
                      "free_cpus,running,queued,utilization"),
             std::string::npos);

@@ -809,76 +809,106 @@ class ReferenceIrix {
 };
 
 // Runs IrixTimeShare and the reference side by side through random job
-// arrivals and departures and requires identical dispatch, tick by tick.
-// Zero jitter makes many threads' vruntimes tie exactly (every run adds the
-// same dt), and an affinity bonus of exactly one tick ties running threads
-// with waiting ones, so the (key, thread index) tie-break is exercised as
-// much as the key order itself; short OMP_DYNAMIC periods reshape the
-// thread list every few ticks.
+// arrivals and departures on `ncpus` CPUs, each job requesting
+// [min_request, max_request] threads, and requires identical dispatch, tick
+// by tick. Trial parity and residues pick the parameters: zero jitter makes
+// many threads' vruntimes tie exactly (every run adds the same dt), and an
+// affinity bonus of exactly one tick ties running threads with waiting
+// ones, so the (key, creation order) tie-break is exercised as much as the
+// key order itself; short OMP_DYNAMIC periods reshape the thread list every
+// few ticks.
+void ExpectDispatchMatchesReference(Rng& scenario, int trial, int ncpus, int min_request,
+                                    int max_request) {
+  IrixTimeShare::Params params;
+  params.vruntime_jitter = trial % 2 == 0 ? 0.0 : 0.15;
+  params.affinity_bonus =
+      std::vector<SimDuration>{0, 20 * kMillisecond, 80 * kMillisecond}[trial % 3];
+  params.omp_dynamic = trial % 4 != 3;
+  params.omp_adjust_period = scenario.UniformInt(1, 10) * 20 * kMillisecond;
+  params.omp_adjust_step = scenario.UniformInt(1, 3);
+  params.omp_min_fraction = scenario.Uniform(0.2, 1.0);
+  const std::uint64_t seed = scenario.NextU64();
+  Registry registry;
+  IrixTimeShare policy(params, Rng(seed));
+  policy.Attach(registry);
+  ReferenceIrix reference(params, Rng(seed));
+  Machine machine(ncpus);
+  Machine reference_machine(ncpus);
+  PolicyContext ctx = MakeContext({}, ncpus);
+  JobId next_job = 1;
+  std::vector<CpuHandoff> handoffs;
+  std::vector<CpuHandoff> reference_handoffs;
+  std::vector<TimeShare> shares;
+  for (int tick = 0; tick < 300; ++tick) {
+    const double event = scenario.NextDouble();
+    if (event < 0.05 && ctx.jobs.size() < 4) {
+      // Ids are not always ascending in ctx.jobs order.
+      const JobId job = tick % 7 == 0 ? next_job + 100 : next_job;
+      ++next_job;
+      PolicyJobInfo info;
+      info.id = job;
+      info.request = scenario.UniformInt(min_request, max_request);
+      ctx.jobs.push_back(info);
+      (void)policy.OnJobStart(ctx, job);
+      reference.OnJobStart(ctx, job);
+    } else if (event < 0.08 && !ctx.jobs.empty()) {
+      const std::size_t k =
+          static_cast<std::size_t>(scenario.UniformInt(0, static_cast<int>(ctx.jobs.size()) - 1));
+      const JobId job = ctx.jobs[k].id;
+      ctx.jobs.erase(ctx.jobs.begin() + static_cast<std::ptrdiff_t>(k));
+      (void)policy.OnJobFinish(ctx, job);
+      reference.OnJobFinish(job);
+    }
+    handoffs.clear();
+    reference_handoffs.clear();
+    policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
+    const std::map<JobId, TimeShare> expected =
+        reference.TimeShareTick(reference_machine, ctx, 20 * kMillisecond, &reference_handoffs);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " cpus " << ncpus << " tick "
+                                      << tick);
+    ASSERT_EQ(handoffs.size(), reference_handoffs.size());
+    for (std::size_t i = 0; i < handoffs.size(); ++i) {
+      ASSERT_EQ(handoffs[i].cpu, reference_handoffs[i].cpu);
+      ASSERT_EQ(handoffs[i].from, reference_handoffs[i].from);
+      ASSERT_EQ(handoffs[i].to, reference_handoffs[i].to);
+    }
+    ASSERT_EQ(shares.size(), ctx.jobs.size());
+    for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
+      const TimeShare& want = expected.at(ctx.jobs[k].id);
+      ASSERT_EQ(shares[k].effective_procs, want.effective_procs);
+      ASSERT_EQ(shares[k].overhead, want.overhead);
+      ASSERT_EQ(policy.ThreadCountOf(ctx.jobs[k].id), reference.ThreadCountOf(ctx.jobs[k].id));
+    }
+    ASSERT_EQ(policy.total_thread_migrations(), reference.total_thread_migrations());
+  }
+}
+
 TEST(IrixDifferentialTest, DispatchMatchesStableSortReference) {
   Rng scenario(2024);
   for (int trial = 0; trial < 48; ++trial) {
-    IrixTimeShare::Params params;
-    params.vruntime_jitter = trial % 2 == 0 ? 0.0 : 0.15;
-    params.affinity_bonus = std::vector<SimDuration>{0, 20 * kMillisecond,
-                                                     80 * kMillisecond}[trial % 3];
-    params.omp_dynamic = trial % 4 != 3;
-    params.omp_adjust_period = scenario.UniformInt(1, 10) * 20 * kMillisecond;
-    params.omp_adjust_step = scenario.UniformInt(1, 3);
-    params.omp_min_fraction = scenario.Uniform(0.2, 1.0);
-    const std::uint64_t seed = scenario.NextU64();
-    Registry registry;
-    IrixTimeShare policy(params, Rng(seed));
-    policy.Attach(registry);
-    ReferenceIrix reference(params, Rng(seed));
     const int ncpus = scenario.UniformInt(1, 16);
-    Machine machine(ncpus);
-    Machine reference_machine(ncpus);
-    PolicyContext ctx = MakeContext({}, ncpus);
-    JobId next_job = 1;
-    std::vector<CpuHandoff> handoffs;
-    std::vector<CpuHandoff> reference_handoffs;
-    std::vector<TimeShare> shares;
-    for (int tick = 0; tick < 300; ++tick) {
-      const double event = scenario.NextDouble();
-      if (event < 0.05 && ctx.jobs.size() < 4) {
-        // Ids are not always ascending in ctx.jobs order.
-        const JobId job = tick % 7 == 0 ? next_job + 100 : next_job;
-        ++next_job;
-        PolicyJobInfo info;
-        info.id = job;
-        info.request = scenario.UniformInt(1, 2 * ncpus);
-        ctx.jobs.push_back(info);
-        (void)policy.OnJobStart(ctx, job);
-        reference.OnJobStart(ctx, job);
-      } else if (event < 0.08 && !ctx.jobs.empty()) {
-        const std::size_t k =
-            static_cast<std::size_t>(scenario.UniformInt(0, static_cast<int>(ctx.jobs.size()) - 1));
-        const JobId job = ctx.jobs[k].id;
-        ctx.jobs.erase(ctx.jobs.begin() + static_cast<std::ptrdiff_t>(k));
-        (void)policy.OnJobFinish(ctx, job);
-        reference.OnJobFinish(job);
+    ExpectDispatchMatchesReference(scenario, trial, ncpus, 1, 2 * ncpus);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// Machines from 1 to 200 CPUs, with up to four jobs whose threads together
+// fall well below, around, or well above the CPU count.
+TEST(IrixDifferentialTest, DispatchMatchesReferenceFromOneTo200Cpus) {
+  Rng scenario(2025);
+  int trial = 0;
+  for (const int ncpus : {1, 2, 5, 31, 60, 64, 128, 129, 200}) {
+    const std::vector<std::pair<int, int>> requests = {
+        {1, std::max(1, ncpus / 10)}, {std::max(1, ncpus / 4), ncpus}, {2 * ncpus, 3 * ncpus}};
+    for (const auto& [min_request, max_request] : requests) {
+      for (int repeat = 0; repeat < 4; ++repeat) {
+        ExpectDispatchMatchesReference(scenario, trial++, ncpus, min_request, max_request);
+        if (HasFatalFailure()) {
+          return;
+        }
       }
-      handoffs.clear();
-      reference_handoffs.clear();
-      policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs, &shares);
-      const std::map<JobId, TimeShare> expected =
-          reference.TimeShareTick(reference_machine, ctx, 20 * kMillisecond, &reference_handoffs);
-      SCOPED_TRACE(::testing::Message() << "trial " << trial << " tick " << tick);
-      ASSERT_EQ(handoffs.size(), reference_handoffs.size());
-      for (std::size_t i = 0; i < handoffs.size(); ++i) {
-        ASSERT_EQ(handoffs[i].cpu, reference_handoffs[i].cpu);
-        ASSERT_EQ(handoffs[i].from, reference_handoffs[i].from);
-        ASSERT_EQ(handoffs[i].to, reference_handoffs[i].to);
-      }
-      ASSERT_EQ(shares.size(), ctx.jobs.size());
-      for (std::size_t k = 0; k < ctx.jobs.size(); ++k) {
-        const TimeShare& want = expected.at(ctx.jobs[k].id);
-        ASSERT_EQ(shares[k].effective_procs, want.effective_procs);
-        ASSERT_EQ(shares[k].overhead, want.overhead);
-        ASSERT_EQ(policy.ThreadCountOf(ctx.jobs[k].id), reference.ThreadCountOf(ctx.jobs[k].id));
-      }
-      ASSERT_EQ(policy.total_thread_migrations(), reference.total_thread_migrations());
     }
   }
 }

@@ -335,6 +335,38 @@ TEST(BufWriterTest, NullSinkDiscardsQuietly) {
 
 // ------------------------------------------------ time-series CSV rows
 
+// WriteCsv must print exactly what the legacy writer prints, both into a
+// fresh string and appended to a warm one that already holds bytes and
+// spare capacity from a previous, larger write.
+void ExpectCsvMatchesLegacy(const TimeSeriesSampler& series) {
+  std::ostringstream legacy;
+  internal::WriteTimeSeriesCsvLegacy(series, legacy);
+  std::string fresh;
+  series.WriteCsv(&fresh);
+  EXPECT_EQ(fresh, legacy.str());
+  std::string warm(1 << 20, 'x');
+  warm.resize(3);
+  series.WriteCsv(&warm);
+  EXPECT_EQ(warm, "xxx" + legacy.str());
+}
+
+TimeSeriesSampler::AppPoint App(SimTime t_start, SimTime t_end, JobId job, double alloc,
+                                std::string state = "") {
+  TimeSeriesSampler::AppPoint point;
+  point.t_start = t_start;
+  point.t_end = t_end;
+  point.job = job;
+  point.alloc = alloc;
+  point.speedup = 2.5;
+  point.efficiency = 0.625;
+  point.state = std::move(state);
+  return point;
+}
+
+TimeSeriesSampler::MachinePoint MachineAt(SimTime t, double utilization) {
+  return TimeSeriesSampler::MachinePoint{t, 3, 2, 1, utilization};
+}
+
 // The CSV writer reuses a job's formatted speedup/efficiency pair while both
 // values are bitwise unchanged. Values that compare equal but print
 // differently (0.0 / -0.0), NaN, jobs that share a slot (1, 65 and 129) and
@@ -359,11 +391,114 @@ TEST(TimeSeriesCsvTest, RepeatedMeasurementsMatchLegacyWriter) {
     series.AddApp(point);
     t += 100 * kMillisecond;
   }
-  std::ostringstream fast_csv, legacy_csv;
-  series.WriteCsv(fast_csv);
-  internal::WriteTimeSeriesCsvLegacy(series, legacy_csv);
-  EXPECT_EQ(fast_csv.str(), legacy_csv.str());
-  EXPECT_NE(fast_csv.str().find("app,0.100000,0.200000,1,3,-0,0,"), std::string::npos);
+  ExpectCsvMatchesLegacy(series);
+  std::string csv;
+  series.WriteCsv(&csv);
+  EXPECT_NE(csv.find("app,0.100000,0.200000,1,3,-0,0,"), std::string::npos);
+}
+
+// Several jobs' windows and the machine sample share each instant, and every
+// row of an instant reuses its formatted timestamps.
+TEST(TimeSeriesCsvTest, AppAndMachineRowsAtOneInstantMatchLegacyWriter) {
+  TimeSeriesSampler series;
+  for (SimTime t = 100 * kMillisecond; t <= kSecond; t += 100 * kMillisecond) {
+    for (JobId job = 1; job <= 4; ++job) {
+      series.AddApp(App(t - 100 * kMillisecond, t, job, 15.0, "STABLE"));
+    }
+    series.AddMachine(MachineAt(t, 1.0));
+  }
+  ExpectCsvMatchesLegacy(series);
+}
+
+// More distinct instants than the timestamp cache has slots, revisited in a
+// scrambled order: by pigeonhole some share a slot and evict each other,
+// whatever the slot hash.
+TEST(TimeSeriesCsvTest, CollidingInstantsMatchLegacyWriter) {
+  DeterministicBits bits;
+  std::vector<SimTime> instants;
+  for (int i = 0; i < 300; ++i) {
+    instants.push_back(static_cast<SimTime>(i) * 100 * kMillisecond);
+  }
+  TimeSeriesSampler series;
+  for (int i = 0; i < 3000; ++i) {
+    const SimTime t_start = instants[bits.Next() % instants.size()];
+    const SimTime t_end = instants[bits.Next() % instants.size()];
+    series.AddApp(App(t_start, t_end, static_cast<JobId>(i % 7), 4.0));
+  }
+  ExpectCsvMatchesLegacy(series);
+}
+
+// Partial windows (a job's start and finish fall between quanta), times
+// outside the exact fast path, and fractional or negative-zero allocations.
+TEST(TimeSeriesCsvTest, PartialWindowsOddTimesAndAllocsMatchLegacyWriter) {
+  constexpr SimTime kExactLimit = SimTime{1} << 52;
+  TimeSeriesSampler series;
+  series.AddApp(App(123457, 200000, 1, 2.5));
+  series.AddApp(App(200000, 287123, 1, 1.0 / 3.0));
+  series.AddApp(App(-1, 0, 2, -0.0));
+  series.AddApp(App(-2500001, -1000000, 3, 0.1));
+  series.AddApp(App(std::numeric_limits<SimTime>::min(), -7, 4, 29.999999999));
+  series.AddMachine(MachineAt(-3, 0.5));
+  series.AddMachine(MachineAt(287123, 0.25));
+  series.AddApp(App(kExactLimit - 1, kExactLimit, 5, 1e-7));
+  series.AddApp(App(kExactLimit, kExactLimit + 1, 5, 12345678901.5));
+  series.AddApp(App(kExactLimit + 1, std::numeric_limits<SimTime>::max(), 5, 7.0));
+  series.AddMachine(MachineAt(kExactLimit, 0.75));
+  series.AddMachine(MachineAt(std::numeric_limits<SimTime>::max(), 1.0));
+  ExpectCsvMatchesLegacy(series);
+}
+
+// Utilization is cached by bits: -0.0 next to 0.0, NaN, and more distinct
+// values than the cache has slots, revisited in a scrambled order so some
+// share a slot.
+TEST(TimeSeriesCsvTest, UtilizationBitPatternsMatchLegacyWriter) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  TimeSeriesSampler series;
+  SimTime t = 0;
+  for (const double u : {0.0, -0.0, 0.0, kNaN, -kNaN, kNaN, 0.5, -0.0}) {
+    series.AddMachine(MachineAt(t += 100 * kMillisecond, u));
+  }
+  DeterministicBits bits;
+  for (int i = 0; i < 5000; ++i) {
+    const double u = static_cast<double>(bits.Next() % 1000) / 999.0;
+    series.AddMachine(MachineAt(t += 100 * kMillisecond, u));
+  }
+  ExpectCsvMatchesLegacy(series);
+}
+
+// A state name longer than any fixed row budget grows the buffer by itself.
+TEST(TimeSeriesCsvTest, LongStateNamesMatchLegacyWriter) {
+  TimeSeriesSampler series;
+  series.AddApp(App(0, 100000, 1, 3.0, std::string(300, 'S')));
+  series.AddApp(App(0, 100000, 2, 3.0, std::string(100000, 'L')));
+  series.AddMachine(MachineAt(100000, 1.0));
+  series.AddApp(App(100000, 200000, 1, 3.0, "INC"));
+  ExpectCsvMatchesLegacy(series);
+}
+
+// A 1-node cluster CSV is the single-node CSV with "node," before the header
+// and "0," before every row.
+TEST(TimeSeriesCsvTest, OneNodeClusterCsvPrefixesTheSingleNodeCsv) {
+  TimeSeriesSampler series;
+  for (SimTime t = 100 * kMillisecond; t <= kSecond; t += 100 * kMillisecond) {
+    series.AddApp(App(t - 100 * kMillisecond, t, 1, 3.0, "DEC"));
+    series.AddApp(App(t - 100 * kMillisecond, t, 2, 2.5));
+    series.AddMachine(MachineAt(t, 0.5));
+  }
+  series.AddApp(App(kSecond, kSecond + 42, 1, 3.0, std::string(1000, 'Z')));
+  std::string single;
+  series.WriteCsv(&single);
+  std::string expected;
+  std::istringstream lines(single);
+  std::string line;
+  bool header = true;
+  while (std::getline(lines, line)) {
+    expected += (header ? "node," : "0,") + line + "\n";
+    header = false;
+  }
+  std::string cluster;
+  WriteClusterTimeSeriesCsv({&series}, &cluster);
+  EXPECT_EQ(cluster, expected);
 }
 
 // -------------------------------------------- end-to-end byte identity
@@ -392,10 +527,9 @@ CapturedRun RunCaptured(PolicyKind policy, bool legacy_events) {
   events.Flush();
   run.events = events_stream.str();
 
-  std::ostringstream fast_csv, legacy_csv;
-  timeseries.WriteCsv(fast_csv);
+  std::ostringstream legacy_csv;
+  timeseries.WriteCsv(&run.timeseries_fast);
   internal::WriteTimeSeriesCsvLegacy(timeseries, legacy_csv);
-  run.timeseries_fast = fast_csv.str();
   run.timeseries_legacy = legacy_csv.str();
   return run;
 }
