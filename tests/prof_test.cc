@@ -3,8 +3,8 @@
 //
 // Pins the four contracts the profiling layer is built on:
 //   1. profiler-off byte-identity: enabling capture_prof must not change a
-//      single byte of the events / time-series / sweep-CSV outputs, and the
-//      default SweepCsv stays byte-identical to the retained legacy writer;
+//      single byte of the events / time-series / sweep-CSV outputs (the
+//      sweep golden in serialization_golden_test.cc runs profiled too);
 //   2. trace-export validity: every record the TraceEventWriter emits is a
 //      flat JSON object (plus the single nested "args" object the format
 //      allows), round-trippable through ParseFlatJson, with the fields
@@ -72,20 +72,6 @@ TEST(ProfilerIdentityTest, CaptureProfDoesNotChangeAnyOutputByte) {
     EXPECT_GT(profiled[i].profile.TotalHits(), 0) << "cell " << i;
   }
   EXPECT_EQ(CsvOf(base, grid.seeds.size()), CsvOf(profiled, grid.seeds.size()));
-}
-
-TEST(ProfilerIdentityTest, DefaultSweepCsvStillMatchesLegacyWriter) {
-  const SweepGrid grid = SmallGrid();
-  SweepOptions options;
-  options.jobs = 1;
-  options.capture_prof = true;  // on, to prove it does not leak into the CSV
-  const std::vector<SweepCellResult> results = RunSweep(grid, options);
-
-  std::ostringstream fast, legacy;
-  SweepCsv(results, grid.seeds.size(), fast);
-  internal::SweepCsvLegacy(results, grid.seeds.size(), legacy);
-  ASSERT_FALSE(fast.str().empty());
-  EXPECT_EQ(fast.str(), legacy.str());
 }
 
 TEST(ProfilerIdentityTest, SlowdownColumnsExtendEveryRowByExactlyThreeCells) {
