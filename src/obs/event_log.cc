@@ -1,7 +1,6 @@
 #include "src/obs/event_log.h"
 
 #include <cctype>
-#include <ostream>
 
 #include "src/common/fmt.h"
 #include "src/common/strings.h"
@@ -108,64 +107,6 @@ JsonObjectWriter& JsonObjectWriter::Field(std::string_view key, double value) {
   AppendGeneral(out_, value, 10);
   return *this;
 }
-
-namespace internal {
-
-void LegacyJsonObjectWriter::Key(std::string_view key) {
-  if (!first_) {
-    body_.push_back(',');
-  }
-  first_ = false;
-  body_ += JsonEscape(key);
-  body_.push_back(':');
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key,
-                                                      std::string_view value) {
-  Key(key);
-  body_ += JsonEscape(value);
-  return *this;
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key, const char* value) {
-  return Field(key, std::string_view(value));
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key, long long value) {
-  Key(key);
-  body_ += StrFormat("%lld", value);
-  return *this;
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key,
-                                                      unsigned long long value) {
-  Key(key);
-  body_ += StrFormat("%llu", value);
-  return *this;
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key, int value) {
-  return Field(key, static_cast<long long>(value));
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key, bool value) {
-  Key(key);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
-LegacyJsonObjectWriter& LegacyJsonObjectWriter::Field(std::string_view key, double value) {
-  Key(key);
-  body_ += StrFormat("%.10g", value);
-  return *this;
-}
-
-std::string LegacyJsonObjectWriter::Finish() {
-  body_.push_back('}');
-  return std::move(body_);
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -429,12 +370,8 @@ void EventLog::Emit(const std::string& json_line) {
     return;
   }
   confinement_.AssertConfined("EventLog");
-  if (legacy_for_test_) {
-    *out_ << json_line << '\n';
-  } else {
-    writer_.Append(json_line);
-    writer_.Append('\n');
-  }
+  writer_.Append(json_line);
+  writer_.Append('\n');
   ++lines_;
 }
 
@@ -443,7 +380,7 @@ void EventLog::RunStart(std::string_view policy, std::string_view workload, doub
   const InternedString policy_name = out_ != nullptr ? interner_.Intern(policy) : InternedString{};
   const InternedString workload_name =
       out_ != nullptr ? interner_.Intern(workload) : InternedString{};
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_run_start_)
         .Field("policy", policy_name)
         .Field("workload", workload_name)
@@ -454,7 +391,7 @@ void EventLog::RunStart(std::string_view policy, std::string_view workload, doub
 }
 
 void EventLog::RunEnd(SimTime t, int jobs, bool completed) {
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_run_end_)
         .Field("t_us", static_cast<long long>(t))
         .Field("jobs", jobs)
@@ -466,7 +403,7 @@ void EventLog::JobSubmit(SimTime t, JobId job, std::string_view app_class, int r
                          bool rigid) {
   const InternedString class_name =
       out_ != nullptr ? interner_.Intern(app_class) : InternedString{};
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_job_submit_)
         .Field("t_us", static_cast<long long>(t))
         .Field("job", job)
@@ -480,7 +417,7 @@ void EventLog::JobStart(SimTime t, JobId job, std::string_view app_class, int re
                         int running, int queued) {
   const InternedString class_name =
       out_ != nullptr ? interner_.Intern(app_class) : InternedString{};
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_job_start_)
         .Field("t_us", static_cast<long long>(t))
         .Field("job", job)
@@ -493,7 +430,7 @@ void EventLog::JobStart(SimTime t, JobId job, std::string_view app_class, int re
 }
 
 void EventLog::JobFinish(SimTime t, JobId job, SimTime submit, SimTime start) {
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_job_finish_)
         .Field("t_us", static_cast<long long>(t))
         .Field("job", job)
@@ -503,7 +440,7 @@ void EventLog::JobFinish(SimTime t, JobId job, SimTime submit, SimTime start) {
 }
 
 void EventLog::AdmitHold(SimTime t, int running, int queued, int free_cpus) {
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_admit_hold_)
         .Field("t_us", static_cast<long long>(t))
         .Field("running", running)
@@ -513,7 +450,7 @@ void EventLog::AdmitHold(SimTime t, int running, int queued, int free_cpus) {
 }
 
 void EventLog::PerfSample(SimTime t, JobId job, int procs, double speedup, double efficiency) {
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_perf_sample_)
         .Field("t_us", static_cast<long long>(t))
         .Field("job", job)
@@ -530,7 +467,7 @@ void EventLog::PdpaTransition(SimTime t, JobId job, const char* from, const char
   const InternedString to_name = out_ != nullptr ? interner_.Intern(to) : InternedString{};
   const InternedString trigger_name =
       out_ != nullptr ? interner_.Intern(trigger) : InternedString{};
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_pdpa_transition_)
         .Field("t_us", static_cast<long long>(t))
         .Field("job", job)
@@ -548,7 +485,7 @@ void EventLog::PdpaTransition(SimTime t, JobId job, const char* from, const char
 void EventLog::AllocDecision(SimTime t, const char* trigger, const std::string& plan) {
   const InternedString trigger_name =
       out_ != nullptr ? interner_.Intern(trigger) : InternedString{};
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_alloc_decision_)
         .Field("t_us", static_cast<long long>(t))
         .Field("trigger", trigger_name)
@@ -557,7 +494,7 @@ void EventLog::AllocDecision(SimTime t, const char* trigger, const std::string& 
 }
 
 void EventLog::CpuHandoffs(SimTime t, int moved, int migrations) {
-  EmitRecord([&](auto& writer) {
+  EmitRecord([&](JsonObjectWriter& writer) {
     writer.Field("type", type_cpu_handoffs_)
         .Field("t_us", static_cast<long long>(t))
         .Field("moved", moved)

@@ -17,11 +17,10 @@
 // src/common/fmt.h, no per-field temporaries) and handed to a 64 KiB
 // BufWriter, so steady-state emission performs zero heap allocations and
 // one ostream write per ~64 KiB. The small fixed vocabulary of event-type
-// and app-class names is interned as pre-escaped JSON literals. Bytes are
-// identical to the original StrFormat path, which survives as
-// internal::LegacyJsonObjectWriter behind a test-only flag for the golden
-// byte-identity fixture (serialization_test). Readers of a
-// captured ostringstream must call Flush() first while the log is alive.
+// and app-class names is interned as pre-escaped JSON literals. Output
+// bytes are pinned by committed goldens (serialization_golden_test).
+// Readers of a captured ostringstream must call Flush() first while the
+// log is alive.
 #ifndef SRC_OBS_EVENT_LOG_H_
 #define SRC_OBS_EVENT_LOG_H_
 
@@ -92,37 +91,6 @@ class JsonObjectWriter {
   bool first_ = true;
 };
 
-namespace internal {
-
-// The pre-fast-path serializer, byte for byte: builds its own std::string
-// via snprintf-backed StrFormat with one temporary per field. Kept only as
-// the reference the golden byte-identity fixture (serialization_test)
-// compares the fast path against; production code must not use it.
-class LegacyJsonObjectWriter {
- public:
-  LegacyJsonObjectWriter& Field(std::string_view key, std::string_view value);
-  LegacyJsonObjectWriter& Field(std::string_view key, const char* value);
-  LegacyJsonObjectWriter& Field(std::string_view key, InternedString value) {
-    return Field(key, value.raw);
-  }
-  LegacyJsonObjectWriter& Field(std::string_view key, long long value);
-  LegacyJsonObjectWriter& Field(std::string_view key, unsigned long long value);
-  LegacyJsonObjectWriter& Field(std::string_view key, int value);
-  LegacyJsonObjectWriter& Field(std::string_view key, bool value);
-  LegacyJsonObjectWriter& Field(std::string_view key, double value);
-
-  // Returns the closed object. The writer is single-use.
-  std::string Finish();
-
- private:
-  void Key(std::string_view key);
-
-  std::string body_ = "{";
-  bool first_ = true;
-};
-
-}  // namespace internal
-
 // Parses one flat JSON object line (as produced by EventLog) into
 // field -> raw value. String values are unescaped; numbers/bools keep their
 // textual form. Returns false on malformed input. Nested objects/arrays are
@@ -169,11 +137,6 @@ class EventLog {
   // When set, every serialized record is wrapped in an obs.serialize span
   // and Flush in an obs.flush span.
   void set_profiler(Profiler* profiler) { profiler_ = profiler; }
-
-  // Test-only: route every record through the retained PR-4 serializer
-  // (per-field StrFormat temporaries, unbuffered per-line ostream writes)
-  // so golden fixtures can compare it against the fast path.
-  void set_legacy_serialization_for_test(bool legacy) { legacy_for_test_ = legacy; }
 
   // Cluster mode: tag every typed record with a trailing "node":K field so
   // merged per-node streams stay attributable. Negative (the default)
@@ -226,9 +189,8 @@ class EventLog {
   // Interns the fixed event-type vocabulary (construction and Reset).
   void InternTypes();
 
-  // Shared emit shell: `fill` applies the record's .Field(...) chain to
-  // whichever serializer is active (fast buffer writer or retained legacy
-  // writer), so each typed emitter states its schema exactly once.
+  // Shared emit shell: `fill` applies the record's .Field(...) chain to the
+  // record's writer, and the shell adds the node tag and the line break.
   template <typename Fn>
   void EmitRecord(Fn&& fill) {
     if (out_ == nullptr) {
@@ -236,24 +198,15 @@ class EventLog {
     }
     ProfScope prof_scope(profiler_, SpanId::kObsSerialize);
     confinement_.AssertConfined("EventLog");
-    if (legacy_for_test_) {
-      internal::LegacyJsonObjectWriter writer;
-      fill(writer);
-      if (node_tag_ >= 0) {
-        writer.Field("node", node_tag_);
-      }
-      *out_ << writer.Finish() << '\n';
-    } else {
-      scratch_.clear();
-      JsonObjectWriter writer(&scratch_);
-      fill(writer);
-      if (node_tag_ >= 0) {
-        writer.Field("node", node_tag_);
-      }
-      writer.Finish();
-      scratch_.push_back('\n');
-      writer_.Append(scratch_);
+    scratch_.clear();
+    JsonObjectWriter writer(&scratch_);
+    fill(writer);
+    if (node_tag_ >= 0) {
+      writer.Field("node", node_tag_);
     }
+    writer.Finish();
+    scratch_.push_back('\n');
+    writer_.Append(scratch_);
     ++lines_;
   }
 
@@ -266,7 +219,6 @@ class EventLog {
       type_job_finish_, type_admit_hold_, type_perf_sample_, type_pdpa_transition_,
       type_alloc_decision_, type_cpu_handoffs_;
   long long lines_ = 0;
-  bool legacy_for_test_ = false;
   int node_tag_ = -1;
   Profiler* profiler_ = nullptr;
   // The log is not mutex-protected by design: every EventLog belongs to one

@@ -5,11 +5,9 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <ostream>
 #include <string_view>
 
 #include "src/common/fmt.h"
-#include "src/common/strings.h"
 
 namespace pdpa {
 
@@ -237,30 +235,5 @@ void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& node
   }
   csv.Finish();
 }
-
-namespace internal {
-
-void WriteTimeSeriesCsvLegacy(const TimeSeriesSampler& series, std::ostream& out) {
-  out << kCsvHeader;
-  std::size_t a = 0;
-  std::size_t m = 0;
-  const auto& apps = series.apps();
-  const auto& machine = series.machine();
-  while (a < apps.size() || m < machine.size()) {
-    const bool take_app = m >= machine.size() || (a < apps.size() && apps[a].t_end <= machine[m].t);
-    if (take_app) {
-      const TimeSeriesSampler::AppPoint& p = apps[a++];
-      out << StrFormat("app,%.6f,%.6f,%d,%.10g,%.10g,%.10g,%s,,,,\n", TimeToSeconds(p.t_start),
-                       TimeToSeconds(p.t_end), p.job, p.alloc, p.speedup, p.efficiency,
-                       p.state.c_str());
-    } else {
-      const TimeSeriesSampler::MachinePoint& p = machine[m++];
-      out << StrFormat("machine,%.6f,,,,,,,%d,%d,%d,%.10g\n", TimeToSeconds(p.t), p.free_cpus,
-                       p.running, p.queued, p.utilization);
-    }
-  }
-}
-
-}  // namespace internal
 
 }  // namespace pdpa

@@ -14,7 +14,6 @@
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
 
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,16 +95,6 @@ class TimeSeriesSampler {
 // *out as WriteCsv does.
 void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& nodes,
                                std::string* out);
-
-namespace internal {
-
-// The pre-fast-path CSV writer (per-row StrFormat temporaries, per-row
-// ostream inserts), kept only as the reference the golden byte-identity
-// fixture (serialization_test) compares WriteCsv against; production code
-// must not use it.
-void WriteTimeSeriesCsvLegacy(const TimeSeriesSampler& series, std::ostream& out);
-
-}  // namespace internal
 
 }  // namespace pdpa
 

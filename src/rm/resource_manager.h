@@ -73,8 +73,9 @@ class ResourceManager {
     // outputs (outcomes, finish times, allocation integrals, report counts
     // and efficiency histograms) are byte-identical to the per-boundary
     // schedule; only rm.ticks / rm.ticks_elided and gauge sampling instants
-    // differ. Opt-in because committed single-node baselines pin exact tick
-    // counts.
+    // differ. Off by default because the off state is the every-tick
+    // reference the cluster and RM tests compare the fast path against
+    // (ClusterBoundaryBatchTest); simbench's cluster workloads set it.
     bool boundary_batch = false;
   };
 

@@ -104,37 +104,4 @@ void WriteParaverConfig(int num_jobs, std::ostream& out) {
   writer.Flush();
 }
 
-namespace internal {
-
-void WriteParaverTraceLegacy(const TraceRecorder& recorder, int num_jobs, std::ostream& out) {
-  PDPA_CHECK_GE(num_jobs, 0);
-  const auto& samples = recorder.samples();
-  const long long duration_ns =
-      static_cast<long long>(samples.size()) * recorder.sample_period() * 1000;
-  out << "#Paraver (01/01/00 at 00:00):" << duration_ns << "_ns:1(" << recorder.num_cpus()
-      << "):" << num_jobs;
-  for (int job = 0; job < num_jobs; ++job) {
-    out << ":1(1:1)";
-  }
-  out << "\n";
-  for (int cpu = 0; cpu < recorder.num_cpus(); ++cpu) {
-    std::size_t begin = 0;
-    while (begin < samples.size()) {
-      const JobId job = samples[begin][static_cast<std::size_t>(cpu)];
-      std::size_t end = begin + 1;
-      while (end < samples.size() && samples[end][static_cast<std::size_t>(cpu)] == job) {
-        ++end;
-      }
-      if (job != kIdleJob) {
-        const long long t0 = static_cast<long long>(begin) * recorder.sample_period() * 1000;
-        const long long t1 = static_cast<long long>(end) * recorder.sample_period() * 1000;
-        out << "1:" << (cpu + 1) << ":" << (job + 1) << ":1:1:" << t0 << ":" << t1 << ":1\n";
-      }
-      begin = end;
-    }
-  }
-}
-
-}  // namespace internal
-
 }  // namespace pdpa

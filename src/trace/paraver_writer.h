@@ -24,15 +24,6 @@ void WriteParaverTrace(const TraceRecorder& recorder, int num_jobs, std::ostream
 // color per application, so the visualizer labels the trace like Fig. 5.
 void WriteParaverConfig(int num_jobs, std::ostream& out);
 
-namespace internal {
-
-// The pre-fast-path .prv writer (per-record ostream inserts), kept only as
-// the reference the golden byte-identity fixture (serialization_test)
-// compares WriteParaverTrace against; production code must not use it.
-void WriteParaverTraceLegacy(const TraceRecorder& recorder, int num_jobs, std::ostream& out);
-
-}  // namespace internal
-
 }  // namespace pdpa
 
 #endif  // SRC_TRACE_PARAVER_WRITER_H_

@@ -129,7 +129,6 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_pref
   scratch->events.str(std::string());
   scratch->event_log.Reset(options.capture_events ? &scratch->events : nullptr);
   if (options.capture_events) {
-    scratch->event_log.set_legacy_serialization_for_test(options.legacy_serialization_for_test);
     config.event_log = &scratch->event_log;
   }
   scratch->timeseries.Clear();
@@ -196,11 +195,7 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, bool build_pref
       scratch->event_log.Flush();  // The log buffers; push bytes out before reading.
       out->events_jsonl = scratch->events.str();
     }
-    if (options.capture_timeseries && options.legacy_serialization_for_test) {
-      std::ostringstream csv;
-      internal::WriteTimeSeriesCsvLegacy(scratch->timeseries, csv);
-      out->timeseries_csv = csv.str();
-    } else if (options.capture_timeseries) {
+    if (options.capture_timeseries) {
       scratch->timeseries_csv.clear();
       scratch->timeseries.WriteCsv(&scratch->timeseries_csv);
       out->timeseries_csv = std::string(scratch->timeseries_csv);
@@ -523,47 +518,5 @@ void SweepCsv(const std::vector<SweepCellResult>& results, std::size_t seeds_per
   }
   writer.Flush();
 }
-
-namespace internal {
-
-void SweepCsvLegacy(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
-                    std::ostream& out) {
-  PDPA_CHECK_GE(seeds_per_group, 1u);
-  PDPA_CHECK_EQ(results.size() % seeds_per_group, 0u);
-  out << kSweepCsvHeader;
-  for (std::size_t group = 0; group < results.size(); group += seeds_per_group) {
-    for (std::size_t i = group; i < group + seeds_per_group; ++i) {
-      const SweepCellResult& r = results[i];
-      for (const auto& [app_class, m] : r.result.metrics.per_class) {
-        out << StrFormat("%s,%.2f,%s,%llu,%s,%d,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%d,%lld,%d\n",
-                         WorkloadName(r.cell.workload), r.cell.load,
-                         r.result.policy_name.c_str(),
-                         static_cast<unsigned long long>(r.cell.seed), AppClassName(app_class),
-                         m.count, m.avg_response_s, m.p50_response_s, m.p95_response_s,
-                         m.avg_exec_s, m.avg_wait_s, m.avg_alloc, r.result.metrics.makespan_s,
-                         r.result.max_ml, r.result.reallocations, r.result.completed ? 1 : 0);
-      }
-    }
-    if (seeds_per_group <= 1) {
-      continue;
-    }
-    const SweepCellResult& head = results[group];
-    const CellAggregate aggregate = AggregateSeeds(results, group, seeds_per_group);
-    for (const auto& [app_class, agg] : aggregate.per_class) {
-      for (const Pick& pick : kPicks) {
-        out << StrFormat(
-            "%s,%.2f,%s,%s,%s,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%d\n",
-            WorkloadName(head.cell.workload), head.cell.load, head.result.policy_name.c_str(),
-            pick.label, AppClassName(app_class), pick.get(agg.count),
-            pick.get(agg.avg_response_s), pick.get(agg.p50_response_s),
-            pick.get(agg.p95_response_s), pick.get(agg.avg_exec_s), pick.get(agg.avg_wait_s),
-            pick.get(agg.avg_alloc), pick.get(aggregate.makespan_s), pick.get(aggregate.max_ml),
-            pick.get(aggregate.reallocations), aggregate.all_completed ? 1 : 0);
-      }
-    }
-  }
-}
-
-}  // namespace internal
 
 }  // namespace pdpa

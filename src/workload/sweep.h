@@ -134,10 +134,6 @@ struct SweepOptions {
   // When set, receives what the fork machinery did (written after the sweep
   // completes, from the calling thread).
   ForkStats* fork_stats = nullptr;
-  // Test-only: capture each cell's events/time-series through the retained
-  // pre-fast-path serializers (see DESIGN.md §9) so golden fixtures can
-  // compare recordings byte for byte against the fast path.
-  bool legacy_serialization_for_test = false;
 };
 
 namespace internal {
@@ -227,17 +223,6 @@ CellAggregate AggregateSeeds(const std::vector<SweepCellResult>& results, std::s
 // default so existing pinned outputs stay byte-identical.
 void SweepCsv(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
               std::ostream& out, bool slowdown_columns = false);
-
-namespace internal {
-
-// The pre-fast-path sweep CSV writer (per-row StrFormat temporaries,
-// per-row ostream inserts), kept only as the reference the golden
-// byte-identity fixtures (serialization_test, prof_test) compare SweepCsv
-// against; production code must not use it.
-void SweepCsvLegacy(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
-                    std::ostream& out);
-
-}  // namespace internal
 
 }  // namespace pdpa
 

@@ -120,7 +120,7 @@ void IndexMutexes(const SourceFile& file, RepoIndex* index) {
 // `event_log.Reset(&sink)` wires a destination, it does not format values.
 void DeriveSinks(const SourceFile& file, RepoIndex* index) {
   static const std::set<std::string>* kSinkClasses = new std::set<std::string>{
-      "JsonObjectWriter", "LegacyJsonObjectWriter", "EventLog"};
+      "JsonObjectWriter", "EventLog"};
   static const std::set<std::string>* kExcluded = new std::set<std::string>{
       "Reset", "Flush", "Handoff", "HandoffConfinement"};
   const std::vector<Token>& tokens = file.scan.tokens;
