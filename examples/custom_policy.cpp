@@ -36,14 +36,11 @@ class RequestFit : public SchedulingPolicy {
     return AllocationPlan{};
   }
 
-  bool ShouldAdmit(const PolicyContext& ctx) const override {
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override {
     // Rigid: the head-of-queue job needs its full request. The QS does not
     // tell us the next request, so be conservative: require the largest
     // possible request (30) to fit unless the machine is empty.
-    if (ctx.jobs.empty()) {
-      return true;
-    }
-    return ctx.free_cpus >= 30;
+    return running_jobs == 0 || free_cpus >= 30;
   }
 };
 

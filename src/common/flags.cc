@@ -35,8 +35,6 @@ FlagSet FlagSet::Parse(int argc, const char* const* argv) {
   return flags;
 }
 
-bool FlagSet::Has(const std::string& name) const { return values_.contains(name); }
-
 std::string FlagSet::GetString(const std::string& name, const std::string& default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) {

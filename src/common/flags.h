@@ -17,8 +17,6 @@ class FlagSet {
   // Parses argv (excluding argv[0]).
   static FlagSet Parse(int argc, const char* const* argv);
 
-  bool Has(const std::string& name) const;
-
   // Typed getters with defaults; a present-but-malformed value returns the
   // default and sets the error flag.
   std::string GetString(const std::string& name, const std::string& default_value) const;

@@ -15,7 +15,6 @@
 #define SRC_CORE_PDPA_H_
 
 #include <string>
-#include <vector>
 
 namespace pdpa {
 
@@ -134,12 +133,6 @@ class PdpaAutomaton {
   bool resource_limited_ = false;
 };
 
-// Status snapshot used by the multiprogramming-level policy.
-struct PdpaAppStatus {
-  bool settled = false;
-  bool bad_performance = false;
-};
-
 // Coordinated multiprogramming-level rule (Sec. 4.3): a new application may
 // start when free processors exist and every running application is settled,
 // or when running applications show bad performance anyway. A default ML
@@ -153,8 +146,13 @@ struct PdpaMlParams {
   bool coordinated = true;
 };
 
+// The whole rule, applied to counts and the running automatons' two flags:
+// `all_settled` (every running automaton Settled(), true when none runs)
+// and `any_bad` (some running automaton BadPerformance()). Jobs run to
+// completion on at least one processor, so admission needs a free processor
+// first, even within the default-ML credit.
 bool PdpaShouldAdmit(const PdpaMlParams& params, int free_cpus, int running_jobs,
-                     const std::vector<PdpaAppStatus>& statuses);
+                     bool all_settled, bool any_bad);
 
 }  // namespace pdpa
 

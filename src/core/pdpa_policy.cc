@@ -151,20 +151,14 @@ AllocationPlan PdpaPolicy::OnReport(const PolicyContext& ctx, const PerfReport& 
   return plan;
 }
 
-bool PdpaPolicy::ShouldAdmit(const PolicyContext& ctx) const {
-  // Run-to-completion with at least one processor: admission always needs a
-  // free processor, even within the default-ML credit.
-  if (ctx.free_cpus < 1) {
-    admit_denied_->Increment();
-    return false;
-  }
-  std::vector<PdpaAppStatus> statuses;
-  statuses.reserve(automatons_.size());
+bool PdpaPolicy::ShouldAdmit(int running_jobs, int free_cpus) const {
+  bool all_settled = true;
+  bool any_bad = false;
   for (const auto& [job, automaton] : automatons_) {
-    statuses.push_back(PdpaAppStatus{automaton->Settled(), automaton->BadPerformance()});
+    all_settled = all_settled && automaton->Settled();
+    any_bad = any_bad || automaton->BadPerformance();
   }
-  const bool admit =
-      PdpaShouldAdmit(ml_params_, ctx.free_cpus, static_cast<int>(ctx.jobs.size()), statuses);
+  const bool admit = PdpaShouldAdmit(ml_params_, free_cpus, running_jobs, all_settled, any_bad);
   (admit ? admit_granted_ : admit_denied_)->Increment();
   return admit;
 }

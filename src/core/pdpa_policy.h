@@ -20,7 +20,7 @@ class PdpaPolicy : public SchedulingPolicy {
   AllocationPlan OnJobStart(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnReport(const PolicyContext& ctx, const PerfReport& report) override;
-  bool ShouldAdmit(const PolicyContext& ctx) const override;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override;
   // Automaton transitions fire on performance reports, never on the quantum.
   bool quantum_passive() const override { return true; }
   const char* AppStateName(JobId job) const override;

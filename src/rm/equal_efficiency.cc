@@ -43,8 +43,9 @@ AllocationPlan EqualEfficiency::OnReport(const PolicyContext& ctx, const PerfRep
 
 AllocationPlan EqualEfficiency::OnQuantum(const PolicyContext& ctx) { return Reallocate(ctx); }
 
-bool EqualEfficiency::ShouldAdmit(const PolicyContext& ctx) const {
-  return static_cast<int>(ctx.jobs.size()) < params_.fixed_ml;
+bool EqualEfficiency::ShouldAdmit(int running_jobs, int free_cpus) const {
+  (void)free_cpus;
+  return running_jobs < params_.fixed_ml;
 }
 
 double EqualEfficiency::ExtrapolatedSpeedup(JobId job, double p) const {

@@ -40,7 +40,7 @@ class EqualEfficiency : public SchedulingPolicy {
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnReport(const PolicyContext& ctx, const PerfReport& report) override;
   AllocationPlan OnQuantum(const PolicyContext& ctx) override;
-  bool ShouldAdmit(const PolicyContext& ctx) const override;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override;
 
   // Extrapolated speedup for a job at allocation p; exposed for tests.
   double ExtrapolatedSpeedup(JobId job, double p) const;

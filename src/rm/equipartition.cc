@@ -75,8 +75,9 @@ AllocationPlan Equipartition::OnJobFinish(const PolicyContext& ctx, JobId job) {
   return EqualSplit(ctx);
 }
 
-bool Equipartition::ShouldAdmit(const PolicyContext& ctx) const {
-  return static_cast<int>(ctx.jobs.size()) < fixed_ml_;
+bool Equipartition::ShouldAdmit(int running_jobs, int free_cpus) const {
+  (void)free_cpus;
+  return running_jobs < fixed_ml_;
 }
 
 }  // namespace pdpa

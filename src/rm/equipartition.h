@@ -17,7 +17,7 @@ class Equipartition : public SchedulingPolicy {
 
   AllocationPlan OnJobStart(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
-  bool ShouldAdmit(const PolicyContext& ctx) const override;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override;
   // Reallocates only at job arrival and completion.
   bool quantum_passive() const override { return true; }
   // Ignores performance reports entirely (OnReport is the base no-op and

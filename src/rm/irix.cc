@@ -38,8 +38,9 @@ AllocationPlan IrixTimeShare::OnJobFinish(const PolicyContext& ctx, JobId job) {
   return AllocationPlan{};
 }
 
-bool IrixTimeShare::ShouldAdmit(const PolicyContext& ctx) const {
-  return static_cast<int>(ctx.jobs.size()) < params_.fixed_ml;
+bool IrixTimeShare::ShouldAdmit(int running_jobs, int free_cpus) const {
+  (void)free_cpus;
+  return running_jobs < params_.fixed_ml;
 }
 
 int IrixTimeShare::ThreadCountOf(JobId job) const {

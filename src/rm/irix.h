@@ -57,7 +57,7 @@ class IrixTimeShare : public SchedulingPolicy {
 
   AllocationPlan OnJobStart(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
-  bool ShouldAdmit(const PolicyContext& ctx) const override;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override;
 
   void TimeShareTick(Machine& machine, const PolicyContext& ctx, SimDuration dt,
                      std::vector<CpuHandoff>* handoffs, std::vector<TimeShare>* shares) override;

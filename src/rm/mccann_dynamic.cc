@@ -40,8 +40,9 @@ AllocationPlan McCannDynamic::OnReport(const PolicyContext& ctx, const PerfRepor
 
 AllocationPlan McCannDynamic::OnQuantum(const PolicyContext& ctx) { return Redistribute(ctx); }
 
-bool McCannDynamic::ShouldAdmit(const PolicyContext& ctx) const {
-  return static_cast<int>(ctx.jobs.size()) < params_.fixed_ml;
+bool McCannDynamic::ShouldAdmit(int running_jobs, int free_cpus) const {
+  (void)free_cpus;
+  return running_jobs < params_.fixed_ml;
 }
 
 AllocationPlan McCannDynamic::Redistribute(const PolicyContext& ctx) const {

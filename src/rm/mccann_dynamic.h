@@ -36,7 +36,7 @@ class McCannDynamic : public SchedulingPolicy {
   AllocationPlan OnJobFinish(const PolicyContext& ctx, JobId job) override;
   AllocationPlan OnReport(const PolicyContext& ctx, const PerfReport& report) override;
   AllocationPlan OnQuantum(const PolicyContext& ctx) override;
-  bool ShouldAdmit(const PolicyContext& ctx) const override;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override;
 
  protected:
   void BindInstruments(Registry& registry) override;

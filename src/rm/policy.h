@@ -40,12 +40,12 @@ struct PolicyJobInfo {
   int request = 0;
   // Processors currently allocated.
   int alloc = 0;
-  SimTime arrival = 0;
   // Rigid job: the runtime cannot change the process count; allocations
   // below the request fold processes onto shared CPUs.
   bool rigid = false;
 };
 
+// What the allocation callbacks see (admission gets two counts instead).
 struct PolicyContext {
   int total_cpus = 0;
   int free_cpus = 0;
@@ -124,9 +124,12 @@ class SchedulingPolicy {
   virtual bool report_passive() const { return false; }
 
   // Multiprogramming-level coordination: may the queuing system start one
-  // more job right now? Baseline policies enforce a fixed ML; PDPA applies
-  // its coordinated rule.
-  virtual bool ShouldAdmit(const PolicyContext& ctx) const = 0;
+  // more job right now, with `running_jobs` jobs running and `free_cpus`
+  // processors unallocated? Baseline policies enforce a fixed ML on the
+  // count; PDPA applies its coordinated rule (PdpaShouldAdmit) to the counts
+  // and its own automatons. Admission reads these two counts only, so the
+  // RM builds no PolicyContext for it.
+  virtual bool ShouldAdmit(int running_jobs, int free_cpus) const = 0;
 
   // Thread-level scheduling step for time-sharing policies. Assigns CPU
   // owners in `machine` directly, appends the reassignments to `handoffs`,

@@ -165,7 +165,7 @@ void ResourceManager::Stop() {
   }
 }
 
-const PolicyContext& ResourceManager::FillContext(SimTime now) const {
+const PolicyContext& ResourceManager::FillContext(SimTime now) {
   scratch_ctx_.total_cpus = machine_.num_cpus();
   scratch_ctx_.free_cpus = machine_.FreeCpus();
   scratch_ctx_.now = now;
@@ -181,7 +181,6 @@ const PolicyContext& ResourceManager::FillContext(SimTime now) const {
     info.id = hot_.job_id[s];
     info.request = hot_.request[s];
     info.alloc = hot_.alloc[s];
-    info.arrival = hot_.arrival[s];
     info.rigid = hot_.rigid[s] != 0;
     scratch_ctx_.jobs.push_back(info);
   }
@@ -200,7 +199,15 @@ int ResourceManager::AllocateSlot() {
 
 bool ResourceManager::CanStartJob() const {
   ProfScope prof_scope(profiler_, SpanId::kPolicyDecide);
-  return policy_->ShouldAdmit(FillContext(sim_->now()));
+#ifdef PDPA_AUDIT
+  // Admission runs between completion passes, never inside one, so order_
+  // holds no freed slot and its size is the live job count.
+  const auto live = std::count_if(order_.begin(), order_.end(), [this](int slot) {
+    return hot_.job_id[static_cast<std::size_t>(slot)] != kIdleJob;
+  });
+  PDPA_CHECK_EQ(static_cast<std::size_t>(live), order_.size()) << "admission probe inside a completion pass";
+#endif
+  return policy_->ShouldAdmit(running_jobs(), machine_.FreeCpus());
 }
 
 void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request, SimTime now,
@@ -240,7 +247,6 @@ void ResourceManager::StartJob(JobId job, const AppProfile& profile, int request
     running.id = job;
     const std::size_t s = static_cast<std::size_t>(slot);
     hot_.job_id[s] = job;
-    hot_.arrival[s] = now;
     hot_.request[s] = effective_request;
     hot_.rigid[s] = rigid ? 1 : 0;
     hot_.alloc_integral_us[s] = 0.0;

@@ -196,7 +196,7 @@ class ResourceManager {
   };
 
   // Cold per-slot companion of the hot-state arena: the binding plus
-  // sampling bookkeeping. Identity fields (arrival, request, rigid) live in
+  // sampling bookkeeping. Identity fields (request, rigid) live in
   // the arena's slot-parallel arrays.
   struct RunningJob {
     // Slot-resident: built by the slot's first job and reset in place by
@@ -221,8 +221,8 @@ class ResourceManager {
   };
 
   // Fills and returns the reusable scratch context (no per-call allocation
-  // once the jobs vector capacity has grown).
-  const PolicyContext& FillContext(SimTime now) const;
+  // once the jobs vector capacity has grown). Admission does not use it.
+  const PolicyContext& FillContext(SimTime now);
   int SlotOf(JobId job) const {
     return job >= 0 && static_cast<std::size_t>(job) < slot_of_job_.size() ? slot_of_job_[job]
                                                                            : -1;
@@ -323,7 +323,7 @@ class ResourceManager {
   std::vector<std::unique_ptr<const AppProfile>> profiles_;
   long long total_reallocations_ = 0;
 
-  mutable PolicyContext scratch_ctx_;
+  PolicyContext scratch_ctx_;
   // Time-sharing tick buffers: the policy's CPU reassignments, its shares
   // (parallel to scratch_ctx_.jobs) and their JobId-ascending advance order.
   std::vector<CpuHandoff> share_handoffs_;

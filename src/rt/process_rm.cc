@@ -121,21 +121,18 @@ int InProcessRm::FreeCpus() const {
 
 bool InProcessRm::ShouldAdmitNext() const {
   int running = 0;
-  std::vector<PdpaAppStatus> statuses;
+  bool all_settled = true;
+  bool any_bad = false;
   for (const Entry& entry : entries_) {
     if (entry.started && !entry.app->finished()) {
       ++running;
-      statuses.push_back(
-          PdpaAppStatus{entry.automaton->Settled(), entry.automaton->BadPerformance()});
+      all_settled = all_settled && entry.automaton->Settled();
+      any_bad = any_bad || entry.automaton->BadPerformance();
     }
-  }
-  const int free = FreeCpus();
-  if (free < 1) {
-    return false;
   }
   PdpaMlParams ml;
   ml.default_ml = params_.default_ml;
-  return PdpaShouldAdmit(ml, free, running, statuses);
+  return PdpaShouldAdmit(ml, FreeCpus(), running, all_settled, any_bad);
 }
 
 void InProcessRm::Run() {

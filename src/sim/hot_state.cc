@@ -11,7 +11,6 @@ void HotStateArena::EnsureSlot(int slot) {
   }
   const std::size_t n = static_cast<std::size_t>(slot) + 1;
   job_id.resize(n, kIdleJob);
-  arrival.resize(n, 0);
   request.resize(n, 0);
   rigid.resize(n, 0);
   alloc_integral_us.resize(n, 0.0);
@@ -33,7 +32,6 @@ void HotStateArena::ResetSlot(int slot) {
   PDPA_CHECK_LT(slot, size());
   const std::size_t s = static_cast<std::size_t>(slot);
   job_id[s] = kIdleJob;
-  arrival[s] = 0;
   request[s] = 0;
   rigid[s] = 0;
   alloc_integral_us[s] = 0.0;

@@ -12,8 +12,8 @@
 //
 // Ownership is split by column, never by row:
 //   * The ResourceManager writes the identity/accounting columns (job_id,
-//     arrival, request, rigid, alloc_integral_us) when it starts or
-//     releases a slot.
+//     request, rigid, alloc_integral_us) when it starts or releases a
+//     slot.
 //   * The slot's Application writes the dynamics columns (alloc, started,
 //     finished, change_epoch, ready_at, next_boundary, seg_*) and is the
 //     only writer of them while the job runs; it republishes ready_at and
@@ -53,7 +53,6 @@ class HotStateArena {
 
   // --- RM-owned identity and accounting columns ---------------------------
   std::vector<JobId> job_id;
-  std::vector<SimTime> arrival;
   std::vector<int> request;
   std::vector<std::uint8_t> rigid;
   // Integral of allocated CPUs over wall time, in CPU-microseconds.

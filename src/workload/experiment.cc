@@ -111,12 +111,13 @@ class PrefixSentinelPolicy final : public SchedulingPolicy {
     return {};
   }
   AllocationPlan OnQuantum(const PolicyContext& ctx) override {
-    // Reached only under --exact_ticks (elision off disables passivity).
+    // Reached only under Params::exact_ticks (elision off disables passivity).
     PDPA_CHECK(ctx.jobs.empty()) << "quantum with running jobs inside the shared prefix";
     return {};
   }
-  bool ShouldAdmit(const PolicyContext& ctx) const override {
-    (void)ctx;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override {
+    (void)running_jobs;
+    (void)free_cpus;
     PDPA_CHECK(false) << "admission probe inside the shared prefix";
     return false;
   }

@@ -110,6 +110,9 @@ expect_cli(2 err "must be >= 1" ${BATCH} --shards 0)
 expect_cli(0 out "PDPA@ll" ${BATCH} --workloads w1 --loads 0.6 --policies pdpa
            --nodes 3 --cpus_per_node 20 --placement rr,ll --shards 2)
 expect_cli(2 err "--placement takes one policy" ${SIM} --nodes 3 --placement rr,ll)
+# The cluster runs at most one shard per node, and says how many ran.
+expect_cli(0 out "cluster: 2 nodes x 60 cpus, 2 shard.s." ${SIM} --workload w1 --load 0.6
+           --nodes 2 --shards 5)
 
 # A cluster run can be profiled: the controller-plane spans show up in the
 # table.
@@ -166,6 +169,13 @@ expect_cli(2 err "--target_eff must be > 0 and <= --high_eff" ${SIM} --target_ef
 expect_cli(2 err "--ml must be >= 1" ${SIM} --ml 0 --policy equip)
 expect_cli(2 err "--ml must be >= 1" ${SIM} --ml 0)
 expect_cli(2 err "--loads must be > 0" ${BATCH} --loads 0.6,0)
+expect_cli(2 err "--seed must be >= 0" ${SIM} --seed -1)
+expect_cli(2 err "--seed must be >= 0" ${BATCH} --seed -1)
+
+# Retired flags are unknown flags: elision is always on in the tools, and
+# the goldens pin its bytes.
+expect_cli(2 err "unknown flag --exact_ticks" ${SIM} --exact_ticks)
+expect_cli(2 err "unknown flag --exact_ticks" ${BATCH} --exact_ticks)
 
 # One flag spelling: underscores. No tool documents a dashed flag, and the
 # old spellings are unknown flags.

@@ -6,7 +6,7 @@
 //    for per-tick ones.
 //  * Golden equivalence: for every policy x workload pair, a run with
 //    elision enabled produces the same event log, time-series CSV, and
-//    metrics as a run with --exact_ticks.
+//    metrics as a run with Params::exact_ticks.
 //  * And the coarse run must actually fire fewer ticks, or the machinery
 //    is vacuous.
 #include <gtest/gtest.h>

@@ -203,32 +203,36 @@ TEST(PdpaAutomatonTest, OnFreeCapacityResumesSearchOnlyWhenVeryEfficient) {
 TEST(PdpaMlPolicyTest, AdmitsWithinDefaultMl) {
   PdpaMlParams params;
   params.default_ml = 4;
-  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 0, {}));
-  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 3,
-                              {{false, false}, {false, false}, {false, false}}));
+  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 0, /*all_settled=*/true, /*any_bad=*/false));
+  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 3, /*all_settled=*/false, /*any_bad=*/false));
+}
+
+TEST(PdpaMlPolicyTest, NoFreeCpuRefusesEvenWithinDefaultMl) {
+  PdpaMlParams params;
+  params.default_ml = 4;
+  // Jobs run to completion on at least one processor: with none free, the
+  // default-ML credit does not admit.
+  EXPECT_FALSE(PdpaShouldAdmit(params, 0, 0, /*all_settled=*/true, /*any_bad=*/false));
+  EXPECT_FALSE(PdpaShouldAdmit(params, 0, 3, /*all_settled=*/true, /*any_bad=*/true));
+  params.coordinated = false;
+  EXPECT_FALSE(PdpaShouldAdmit(params, 0, 3, /*all_settled=*/true, /*any_bad=*/false));
 }
 
 TEST(PdpaMlPolicyTest, BeyondDefaultNeedsFreeAndSettled) {
   PdpaMlParams params;
   params.default_ml = 4;
-  std::vector<PdpaAppStatus> unsettled = {
-      {true, false}, {true, false}, {false, false}, {true, false}};
-  EXPECT_FALSE(PdpaShouldAdmit(params, 10, 4, unsettled));
-  std::vector<PdpaAppStatus> settled = {
-      {true, false}, {true, false}, {true, false}, {true, false}};
-  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 4, settled));
-  EXPECT_FALSE(PdpaShouldAdmit(params, 0, 4, settled));
+  EXPECT_FALSE(PdpaShouldAdmit(params, 10, 4, /*all_settled=*/false, /*any_bad=*/false));
+  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 4, /*all_settled=*/true, /*any_bad=*/false));
+  EXPECT_FALSE(PdpaShouldAdmit(params, 0, 4, /*all_settled=*/true, /*any_bad=*/false));
 }
 
 TEST(PdpaMlPolicyTest, UncoordinatedEnforcesFixedMl) {
   PdpaMlParams params;
   params.default_ml = 4;
   params.coordinated = false;
-  std::vector<PdpaAppStatus> settled = {
-      {true, false}, {true, false}, {true, false}, {true, false}};
-  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 3, settled));
+  EXPECT_TRUE(PdpaShouldAdmit(params, 10, 3, /*all_settled=*/true, /*any_bad=*/false));
   // Even with everything settled and plenty of free CPUs: ML stays fixed.
-  EXPECT_FALSE(PdpaShouldAdmit(params, 10, 4, settled));
+  EXPECT_FALSE(PdpaShouldAdmit(params, 10, 4, /*all_settled=*/true, /*any_bad=*/false));
 }
 
 TEST(PdpaAutomatonTest, SetTargetEffChangesDecisionAtRuntime) {
@@ -247,9 +251,7 @@ TEST(PdpaAutomatonTest, SetTargetEffChangesDecisionAtRuntime) {
 TEST(PdpaMlPolicyTest, BadPerformanceOverridesUnsettled) {
   PdpaMlParams params;
   params.default_ml = 4;
-  std::vector<PdpaAppStatus> statuses = {
-      {true, false}, {false, false}, {true, true}, {true, false}};
-  EXPECT_TRUE(PdpaShouldAdmit(params, 5, 4, statuses));
+  EXPECT_TRUE(PdpaShouldAdmit(params, 5, 4, /*all_settled=*/false, /*any_bad=*/true));
 }
 
 // Property sweep: for any parameterization, allocations stay within

@@ -205,8 +205,8 @@ TEST(EquipartitionTest, AdmissionIsFixedMl) {
   Registry registry;
   Equipartition policy(4);
   policy.Attach(registry);
-  EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}, {2, 30}, {3, 30}})));
-  EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 30}, {2, 30}, {3, 30}, {4, 30}})));
+  EXPECT_TRUE(policy.ShouldAdmit(/*running_jobs=*/3, /*free_cpus=*/0));
+  EXPECT_FALSE(policy.ShouldAdmit(/*running_jobs=*/4, /*free_cpus=*/60));
 }
 
 TEST(EquipartitionTest, ReallocatesOnlyAtArrivalAndCompletion) {
@@ -533,8 +533,8 @@ TEST(IrixTest, IsTimeSharingAndFixedMl) {
   IrixTimeShare policy(IrixTimeShare::Params{}, Rng(1));
   policy.Attach(registry);
   EXPECT_TRUE(policy.is_time_sharing());
-  EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 8}})));
-  EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 8}, {2, 8}, {3, 8}, {4, 8}})));
+  EXPECT_TRUE(policy.ShouldAdmit(/*running_jobs=*/1, /*free_cpus=*/0));
+  EXPECT_FALSE(policy.ShouldAdmit(/*running_jobs=*/4, /*free_cpus=*/60));
 }
 
 TEST(McCannDynamicTest, UnknownJobsSplitLikeEquipartition) {
@@ -971,8 +971,8 @@ TEST(PdpaPolicyTest, AdmissionRequiresFreeCpu) {
   Registry registry;
   PdpaPolicy policy(PdpaParams{}, PdpaMlParams{});
   policy.Attach(registry);
-  EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 0)));
-  EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 5)));
+  EXPECT_FALSE(policy.ShouldAdmit(/*running_jobs=*/1, /*free_cpus=*/0));
+  EXPECT_TRUE(policy.ShouldAdmit(/*running_jobs=*/1, /*free_cpus=*/5));
 }
 
 }  // namespace

@@ -175,8 +175,9 @@ class ChaosPolicy : public SchedulingPolicy {
     return RandomPlan(ctx);
   }
   AllocationPlan OnQuantum(const PolicyContext& ctx) override { return RandomPlan(ctx); }
-  bool ShouldAdmit(const PolicyContext& ctx) const override {
-    return static_cast<int>(ctx.jobs.size()) < 4;
+  bool ShouldAdmit(int running_jobs, int free_cpus) const override {
+    (void)free_cpus;
+    return running_jobs < 4;
   }
 
  private:

@@ -558,5 +558,18 @@ TEST(ResourceManagerDeathTest, DuplicateJobIdAborts) {
   EXPECT_DEATH(rm.StartJob(0, FastLinearProfile(), 8, 0), "");
 }
 
+#ifdef PDPA_AUDIT
+// Admission passes the job-table size as the running count, so a probe
+// from inside a completion pass, where freed slots linger, fails the audit.
+TEST(ResourceManagerDeathTest, AdmissionProbeInsideCompletionPassFailsTheAudit) {
+  Simulation sim;
+  ResourceManager rm(FastParams(), std::make_unique<Equipartition>(4), &sim, Rng(1));
+  rm.set_job_finish_callback([&](JobId, SimTime) { (void)rm.CanStartJob(); });
+  rm.Start();
+  rm.StartJob(0, FastLinearProfile(), 8, 0);
+  EXPECT_DEATH(sim.RunUntil(60 * kSecond), "admission probe inside a completion pass");
+}
+#endif
+
 }  // namespace
 }  // namespace pdpa

@@ -37,7 +37,6 @@ grid axes:
   --seeds N                replicas per cell under consecutive seeds
                            (default 1); adds per-class mean/p50/p95 rows
   --untuned                override every request to 30 CPUs
-  --exact_ticks            fire the progress tick at every grid point
 
 cluster (nodes > 1 runs every cell on a cluster of SMPs):
   --nodes N                cluster nodes (default 1 = single 60-CPU SMP)

@@ -10,6 +10,7 @@
 //   pdpa_sim --workload w4 --policy equip --untuned --ml 4
 //   pdpa_sim --swf_in trace.swf --policy pdpa --view --prv_out run.prv
 //   pdpa_sim --workload w2 --load 0.8 --swf_out w2.swf --dry_run
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -51,7 +52,8 @@ scheduler flags:
   --placement rr|mf|ll     cluster placement policy: round-robin, most-free,
                            least-loaded (default rr)
   --shards N               worker event loops for the cluster engine
-                           (default 1; outputs are shard-count invariant)
+                           (default 1, at most --nodes; outputs are
+                           shard-count invariant)
   --target_eff F           PDPA target efficiency, in (0, high_eff]
                            (default 0.7)
   --high_eff F             PDPA high efficiency, <= 1.5 (default 0.9)
@@ -59,8 +61,6 @@ scheduler flags:
   --no_relative_speedup    disable PDPA's RelativeSpeedup test (ablation)
   --no_coordination        disable PDPA's coordinated ML rule (ablation)
   --dynamic_target         load-adaptive target efficiency
-  --exact_ticks            fire the progress tick at every grid point
-                           (disables event-horizon tick elision; A/B check)
 
 output flags:
   --view                   print the ASCII execution view (Fig. 5 style)
@@ -201,8 +201,9 @@ int Run(int argc, char** argv) {
               result.metrics.jobs, result.metrics.makespan_s, grid.nodes > 1 ? "node " : "",
               result.max_ml, result.completed ? "" : "  [CUTOFF HIT]");
   if (grid.nodes > 1) {
+    // RunCluster runs at most one shard per node.
     std::printf("cluster: %d nodes x %d cpus, %d shard(s)\n", grid.nodes, grid.cpus_per_node,
-                grid.shards);
+                std::min(grid.shards, grid.nodes));
   }
   if (config.record_trace) {
     std::printf("migrations %lld, avg burst %.0f ms, utilization %.0f%%\n",

@@ -105,13 +105,13 @@ bool ParseSharedFlags(FlagSet* flags, SweepCli* cli) {
   SetLogLevel(level);
 
   SweepGrid& grid = cli->grid;
-  grid.seeds = {static_cast<std::uint64_t>(flags->GetInt("seed", 42))};
+  const int seed = flags->GetInt("seed", 42);
+  grid.seeds = {static_cast<std::uint64_t>(seed)};
   grid.base.untuned = flags->GetBool("untuned", false);
-  grid.base.rm.exact_ticks = flags->GetBool("exact_ticks", false);
   grid.nodes = flags->GetInt("nodes", 1);
   grid.cpus_per_node = flags->GetInt("cpus_per_node", 60);
   grid.shards = flags->GetInt("shards", 1);
-  if (!RequireAtLeast("nodes", grid.nodes, 1) ||
+  if (!RequireAtLeast("seed", seed, 0) || !RequireAtLeast("nodes", grid.nodes, 1) ||
       !RequireAtLeast("cpus_per_node", grid.cpus_per_node, 1) ||
       !RequireAtLeast("shards", grid.shards, 1)) {
     return false;

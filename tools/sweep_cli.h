@@ -3,8 +3,8 @@
 // sweep), and hand the results to one writer for the per-cell recordings,
 // the profile and the Perfetto trace.
 //
-// Shared flags: --seed --untuned --exact_ticks --nodes --cpus_per_node
-// --placement --shards --log_level --events_out --timeseries_out --counters
+// Shared flags: --seed --untuned --nodes --cpus_per_node --placement
+// --shards --log_level --events_out --timeseries_out --counters
 // --counters_out --trace_out --prof --prof_out. The axis flags stay with
 // each tool (--workload in pdpa_sim, --workloads in pdpa_batch, ...).
 //
